@@ -4,7 +4,8 @@
 #include <cstdio>
 #include <map>
 
-#include "algos/wcc.hpp"
+#include "algos/pagerank.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 
 int main() {
@@ -15,10 +16,15 @@ int main() {
   std::printf("graph: %u domains, %llu hyperlinks\n\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 
-  engine::NativeBackend backend;
-  auto opt = engine::PcpmOptions::hipa(4, 1, 64 * 1024);
-  unsigned rounds = 0;
-  const auto labels = algo::wcc(g, opt, backend, &rounds);
+  // Label propagation follows in-edges, so weak connectivity needs
+  // every edge in both directions.
+  algo::MethodParams params;
+  params.threads = 4;
+  params.partition_bytes = 64 * 1024;
+  const auto r = algo::run_kernel_native<engine::WccKernel>(
+      algo::Method::kHipa, graph::symmetrized(g), {}, params);
+  const std::vector<vid_t>& labels = r.values;
+  const unsigned rounds = r.report.iterations;
 
   // Component size census.
   std::map<vid_t, std::uint64_t> sizes;

@@ -1,6 +1,7 @@
 // Reachability analysis with HiPa-partitioned BFS (paper §6 extension):
 // how much of a social network a single account can reach, and how fast
 // the frontier grows per hop.
+#include <algorithm>
 #include <cstdio>
 
 #include "algos/bfs.hpp"
@@ -22,28 +23,35 @@ int main() {
   std::printf("source: user %u (highest PageRank, %u followers)\n\n",
               source, g.in.degree(source));
 
-  engine::NativeBackend backend;
-  algo::BfsOptions opt;
-  opt.threads = 4;
-  const auto r = algo::bfs(g, source, opt, backend);
+  algo::MethodParams params;
+  params.threads = 4;
+  const auto r = algo::run_kernel_native<engine::BfsKernel>(
+      algo::Method::kHipa, g, {.source = source}, params);
 
+  std::uint64_t reached = 0;
+  std::uint32_t levels = 0;
+  for (std::uint32_t d : r.values) {
+    if (d == algo::kUnreached) continue;
+    ++reached;
+    levels = std::max(levels, d);
+  }
   std::printf("reached %llu of %u users (%.1f%%) in %u hops, %.3f s\n",
-              static_cast<unsigned long long>(r.reached), g.num_vertices(),
-              100.0 * static_cast<double>(r.reached) / g.num_vertices(),
-              r.levels, r.report.seconds);
+              static_cast<unsigned long long>(reached), g.num_vertices(),
+              100.0 * static_cast<double>(reached) / g.num_vertices(),
+              levels, r.report.seconds);
 
   // Per-hop histogram.
-  std::vector<std::uint64_t> per_level(r.levels + 1, 0);
-  for (std::uint32_t d : r.distance) {
+  std::vector<std::uint64_t> per_level(levels + 1, 0);
+  for (std::uint32_t d : r.values) {
     if (d != algo::kUnreached) ++per_level[d];
   }
   std::printf("\nfrontier size per hop:\n");
-  for (std::uint32_t l = 0; l <= r.levels; ++l) {
+  for (std::uint32_t l = 0; l <= levels; ++l) {
     std::printf("  hop %2u: %8llu users ", l,
                 static_cast<unsigned long long>(per_level[l]));
     const int bars =
         static_cast<int>(60.0 * static_cast<double>(per_level[l]) /
-                         static_cast<double>(r.reached));
+                         static_cast<double>(reached));
     for (int i = 0; i < bars; ++i) std::printf("#");
     std::printf("\n");
   }

@@ -1,5 +1,6 @@
 #include "algos/bfs.hpp"
 
+#include <algorithm>
 #include <queue>
 
 namespace hipa::algo {

@@ -1,18 +1,11 @@
-// Breadth-first search through the kernel-generic engine (paper §6's
-// third extension target): a thin wrapper over
-// PcpmEngine::run<BfsKernel> — hierarchical partitions, pinned
-// persistent threads, NUMA-placed attribute arrays and the
-// active-partition frontier all come from the shared engine; only the
-// result shaping (levels/reached from the distance vector) lives here.
-// bfs_reference (bfs.cpp) is the serial correctness oracle.
+// Serial breadth-first search, the correctness oracle for the engines'
+// BfsKernel (engines/kernels.hpp; run it through an engine's
+// run<engine::BfsKernel>() or algo::run_kernel_{native,sim}).
 #pragma once
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
-#include "engines/backend.hpp"
-#include "engines/pcpm_engine.hpp"
+#include "engines/kernels.hpp"
 #include "graph/csr.hpp"
 
 namespace hipa::algo {
@@ -21,47 +14,13 @@ inline constexpr std::uint32_t kUnreached = ~0u;
 static_assert(kUnreached == engine::BfsKernel::kUnreached,
               "algo and kernel sentinel must agree");
 
-struct BfsOptions {
-  unsigned threads = 4;
-  unsigned num_nodes = 1;
-  std::uint64_t partition_bytes = 256 * 1024;
-};
-
 struct BfsResult {
   std::vector<std::uint32_t> distance;  ///< kUnreached if not reachable
   std::uint32_t levels = 0;             ///< eccentricity of the source
   std::uint64_t reached = 0;
-  engine::RunReport report;
 };
 
 /// Serial reference BFS.
 [[nodiscard]] BfsResult bfs_reference(const graph::Graph& g, vid_t source);
-
-/// HiPa-style parallel BFS on either backend.
-template <class Backend>
-[[nodiscard]] BfsResult bfs(const graph::Graph& g, vid_t source,
-                            const BfsOptions& opt, Backend& backend) {
-  HIPA_CHECK(source < g.num_vertices(), "source out of range");
-  // num_nodes passes through unclamped: the engine clamps its plan to
-  // the thread count itself, but pads the thread-team spec back up to
-  // num_nodes so node-blocked placement sees one entry per node.
-  auto popt = engine::PcpmOptions::hipa(opt.threads,
-                                        std::max(1u, opt.num_nodes),
-                                        opt.partition_bytes);
-  engine::PcpmEngine<Backend> eng(g, popt, backend);
-  engine::BfsOptions ko;
-  ko.source = source;
-  auto kr = eng.template run<engine::BfsKernel>(ko);
-
-  BfsResult result;
-  result.distance = std::move(kr.values);
-  for (std::uint32_t d : result.distance) {
-    if (d == kUnreached) continue;
-    ++result.reached;
-    result.levels = std::max(result.levels, d);
-  }
-  result.report = std::move(kr.report);
-  return result;
-}
 
 }  // namespace hipa::algo

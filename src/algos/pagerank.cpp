@@ -220,70 +220,16 @@ std::uint64_t default_partition_bytes(Method m, unsigned scale_denom) {
 RunResult run_method_sim(Method m, const graph::Graph& g,
                          sim::SimMachine& machine,
                          const MethodParams& params) {
-  engine::PrOptions ko;
-  ko.damping = params.pr.damping;
-  auto kr =
-      run_kernel_sim<engine::PageRankKernel>(m, g, machine, ko, params);
-  RunResult result;
-  result.report = std::move(kr.report);
-  result.ranks = std::move(kr.values);
-  return result;
+  auto kr = run_kernel_sim<engine::PageRankKernel>(
+      m, g, machine, {params.pr.damping}, params);
+  return {std::move(kr.report), std::move(kr.values)};
 }
 
 RunResult run_method_native(Method m, const graph::Graph& g,
                             const MethodParams& params) {
-  engine::PrOptions ko;
-  ko.damping = params.pr.damping;
-  auto kr = run_kernel_native<engine::PageRankKernel>(m, g, ko, params);
-  RunResult result;
-  result.report = std::move(kr.report);
-  result.ranks = std::move(kr.values);
-  return result;
-}
-
-namespace {
-
-/// Shared switch for the runtime-dispatched runners: pick the kernel's
-/// option member off params and invoke the typed template.
-template <class RunK>
-engine::RunReport dispatch_kernel(const MethodParams& params, RunK&& run) {
-  switch (params.kernel) {
-    case Kernel::kPageRank: {
-      engine::PrOptions ko;
-      ko.damping = params.pr.damping;
-      return run.template operator()<engine::PageRankKernel>(ko);
-    }
-    case Kernel::kPersonalized:
-      return run.template operator()<engine::PprKernel>(params.personalized);
-    case Kernel::kBfs:
-      return run.template operator()<engine::BfsKernel>(params.bfs);
-    case Kernel::kWcc:
-      return run.template operator()<engine::WccKernel>(params.wcc);
-    case Kernel::kSssp:
-      return run.template operator()<engine::SsspKernel>(params.sssp);
-  }
-  HIPA_CHECK(false, "unknown kernel");
-  __builtin_unreachable();
-}
-
-}  // namespace
-
-engine::RunReport run_any_kernel_sim(Method m, const graph::Graph& g,
-                                     sim::SimMachine& machine,
-                                     const MethodParams& params) {
-  return dispatch_kernel(
-      params, [&]<class K>(const typename K::Options& ko) {
-        return run_kernel_sim<K>(m, g, machine, ko, params).report;
-      });
-}
-
-engine::RunReport run_any_kernel_native(Method m, const graph::Graph& g,
-                                        const MethodParams& params) {
-  return dispatch_kernel(params,
-                         [&]<class K>(const typename K::Options& ko) {
-                           return run_kernel_native<K>(m, g, ko, params)
-                               .report;
-                         });
+  auto kr = run_kernel_native<engine::PageRankKernel>(
+      m, g, {params.pr.damping}, params);
+  return {std::move(kr.report), std::move(kr.values)};
 }
 
 }  // namespace hipa::algo

@@ -1,8 +1,16 @@
 // Algorithm front door: serial reference oracles, the five paper
 // methodologies and five kernels behind one runner API, and
-// result-comparison helpers.
+// result-comparison helpers. run_kernel_{sim,native}<K> is the one
+// facade over the engines' run<K>() entries: it builds the selected
+// engine with paper-default parameters and wraps the run in the
+// reorder permute/run/unpermute pipeline.
+//
+//   auto r = algo::run_kernel_native<engine::BfsKernel>(
+//       algo::Method::kHipa, g, {.source = 7});
+//   // r.values[v] == hop distance, r.report == the usual RunReport
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,7 +20,10 @@
 
 #include "common/timer.hpp"
 #include "engines/backend.hpp"
-#include "engines/run.hpp"
+#include "engines/kernels.hpp"
+#include "engines/pcpm_engine.hpp"
+#include "engines/polymer_engine.hpp"
+#include "engines/vpr_engine.hpp"
 #include "graph/csr.hpp"
 #include "graph/reorder.hpp"
 #include "runtime/affinity.hpp"
@@ -45,9 +56,8 @@ using RunResult = engine::RunResult;
 [[nodiscard]] std::vector<vid_t> top_k(std::span<const rank_t> ranks,
                                        std::size_t k);
 
-/// The five methodologies evaluated in the paper — one enum, shared
-/// with the engine facade (engine::run<K> takes it via EngineParams).
-using Method = engine::EngineKind;
+/// The five methodologies evaluated in the paper.
+enum class Method { kHipa, kPpr, kVpr, kGpop, kPolymer };
 
 [[nodiscard]] std::span<const Method> all_methods();
 [[nodiscard]] const char* method_name(Method m);
@@ -59,7 +69,7 @@ using Method = engine::EngineKind;
 [[nodiscard]] std::optional<Method> method_from_name(std::string_view name);
 
 /// The five kernels behind the run<K>() API (engines/kernels.hpp),
-/// as a runtime value for CLI flags and option plumbing.
+/// as a runtime value for bench flags and the serving refresh.
 enum class Kernel { kPageRank, kPersonalized, kBfs, kWcc, kSssp };
 
 [[nodiscard]] std::span<const Kernel> all_kernels();
@@ -90,20 +100,16 @@ struct MethodParams {
   /// cache scaling; see DatasetInfo::recommended_scale).
   unsigned scale_denom = 1;
   /// The engine-level run options (iterations, damping, tolerance,
-  /// telemetry, hw counters, trace path, placement audit) — ONE source
-  /// of truth shared with every engine's run()/run_pagerank().
+  /// telemetry, hw counters, trace path, placement audit, reorder) —
+  /// ONE source of truth handed to every engine's run<K>().
   engine::PageRankOptions pr{};
-  /// Which kernel the runtime-dispatched runners execute
-  /// (run_any_kernel_{sim,native}; the typed run_kernel_* templates
+  /// Which rank-producing kernel backs a serving refresh
+  /// (serve::RefreshOptions::full; the typed run_kernel_* templates
   /// name their kernel statically and ignore this field).
   Kernel kernel = Kernel::kPageRank;
-  /// Per-kernel options for the runtime-dispatched path, one member
-  /// per kernel (engine namespace owns the structs; PageRank's damping
-  /// rides in `pr`).
+  /// Seeds and damping of a personalized serving refresh (kernel ==
+  /// Kernel::kPersonalized).
   engine::PprOptions personalized{};
-  engine::BfsOptions bfs{};
-  engine::WccOptions wcc{};
-  engine::SsspOptions sssp{};
 };
 
 /// Paper-default thread count of a methodology on a topology
@@ -130,17 +136,51 @@ struct MethodParams {
 [[nodiscard]] RunResult run_method_native(Method m, const graph::Graph& g,
                                           const MethodParams& params = {});
 
-/// Runtime-dispatched kernel runners for CLI-driven harnesses: switch
-/// on params.kernel, pull that kernel's options member, and return the
-/// report (values stay inside — use the typed templates below when the
-/// result vector matters).
-[[nodiscard]] engine::RunReport run_any_kernel_sim(
-    Method m, const graph::Graph& g, sim::SimMachine& machine,
-    const MethodParams& params = {});
-[[nodiscard]] engine::RunReport run_any_kernel_native(
-    Method m, const graph::Graph& g, const MethodParams& params = {});
-
 namespace detail {
+
+/// Build methodology `m`'s engine over `g` on `backend` (with
+/// `params.partition_bytes`, or the paper default when 0) and run
+/// kernel K once. Callers that reuse one engine across runs (or
+/// kernels — per-kernel state is cached inside the engine) construct
+/// the engine directly instead; this rebuilds the plan and bins on
+/// every call.
+template <class K, class Backend>
+engine::KernelResult<K> run_engine(Method m, const graph::Graph& g,
+                                   Backend& backend,
+                                   const typename K::Options& ko,
+                                   const MethodParams& params,
+                                   unsigned threads, unsigned nodes) {
+  const std::uint64_t partition_bytes =
+      params.partition_bytes != 0
+          ? params.partition_bytes
+          : default_partition_bytes(m, params.scale_denom);
+  const engine::RunOptions& ro = params.pr;
+  switch (m) {
+    case Method::kHipa:
+    case Method::kPpr:
+    case Method::kGpop: {
+      const auto make = m == Method::kHipa  ? &engine::PcpmOptions::hipa
+                        : m == Method::kPpr ? &engine::PcpmOptions::ppr
+                                            : &engine::PcpmOptions::gpop;
+      engine::PcpmEngine<Backend> eng(g, make(threads, nodes, partition_bytes),
+                                      backend);
+      return eng.template run<K>(ko, ro);
+    }
+    case Method::kVpr: {
+      engine::VprEngine<Backend> eng(g, {.num_threads = threads}, backend);
+      return eng.template run<K>(ko, ro);
+    }
+    case Method::kPolymer: {
+      engine::PolymerOptions opt;
+      opt.num_threads = threads;
+      opt.num_nodes = nodes;
+      engine::PolymerEngine<Backend> eng(g, opt, backend);
+      return eng.template run<K>(ko, ro);
+    }
+  }
+  HIPA_CHECK(false, "unknown method");
+  __builtin_unreachable();
+}
 
 /// The runners' reorder pipeline, kernel-generic: permute the graph's
 /// vertex ids (remapping id-valued kernel options — BFS/SSSP sources,
@@ -198,21 +238,16 @@ template <class K>
       [&](const graph::Graph& rg, const typename K::Options& rko,
           const MethodParams& p) {
         engine::SimBackend backend(machine);
-        engine::EngineParams ep;
-        ep.engine = m;
-        ep.threads = p.threads != 0
-                         ? p.threads
-                         : default_threads(m, machine.topology());
-        ep.partition_bytes =
-            p.partition_bytes != 0
-                ? p.partition_bytes
-                : default_partition_bytes(m, p.scale_denom);
-        ep.num_nodes = machine.topology().num_nodes;
-        return engine::run<K>(rg, backend, rko, p.pr, ep);
+        const unsigned threads = p.threads != 0
+                                     ? p.threads
+                                     : default_threads(m, machine.topology());
+        return detail::run_engine<K>(m, rg, backend, rko, p, threads,
+                                     backend.num_nodes());
       });
 }
 
-/// Run kernel K through methodology `m` natively.
+/// Run kernel K through methodology `m` natively. The engine sees the
+/// host's NUMA node count, clamped to the thread count.
 template <class K>
 [[nodiscard]] engine::KernelResult<K> run_kernel_native(
     Method m, const graph::Graph& g, typename K::Options ko = {},
@@ -222,20 +257,11 @@ template <class K>
       [&](const graph::Graph& rg, const typename K::Options& rko,
           const MethodParams& p) {
         engine::NativeBackend backend;
-        engine::EngineParams ep;
-        ep.engine = m;
-        ep.threads =
+        const unsigned threads =
             p.threads != 0 ? p.threads : runtime::available_cpus();
-        ep.partition_bytes = p.partition_bytes;
-        if (ep.partition_bytes == 0) {
-          ep.partition_bytes = default_partition_bytes(m, p.scale_denom);
-          if (ep.partition_bytes == 0) {
-            ep.partition_bytes = 256 * 1024;  // vertex-centric: unused
-          }
-        }
-        // Native runs on this host: treat it as one NUMA node.
-        ep.num_nodes = 1;
-        return engine::run<K>(rg, backend, rko, p.pr, ep);
+        return detail::run_engine<K>(
+            m, rg, backend, rko, p, threads,
+            std::clamp(backend.num_nodes(), 1u, threads));
       });
 }
 

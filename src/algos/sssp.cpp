@@ -1,6 +1,8 @@
 #include "algos/sssp.hpp"
 
+#include <functional>
 #include <queue>
+#include <utility>
 
 namespace hipa::algo {
 

@@ -1,18 +1,14 @@
-// Single-source shortest paths through the kernel-generic engine: a
-// thin wrapper over PcpmEngine::run<SsspKernel>. Edge weights are
-// source-determined — w(u) = SsspKernel::weight(u), a fixed function
-// of the source vertex id — because the PCPM bin format fans one
-// message per (source vertex, destination partition) across that
-// partition's destinations (DESIGN.md §3.11). sssp_reference
-// (sssp.cpp) is the serial Dijkstra oracle over the same weights.
+// Serial Dijkstra, the correctness oracle for the engines' SsspKernel
+// (engines/kernels.hpp). Edge weights are source-determined —
+// w(u) = SsspKernel::weight(u), a fixed function of the source vertex
+// id — because the PCPM bin format fans one message per (source
+// vertex, destination partition) across that partition's destinations
+// (DESIGN.md §3.11).
 #pragma once
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
-#include "engines/backend.hpp"
-#include "engines/pcpm_engine.hpp"
+#include "engines/kernels.hpp"
 #include "graph/csr.hpp"
 
 namespace hipa::algo {
@@ -21,43 +17,12 @@ namespace hipa::algo {
 /// sentinel + weight still loses every min against a real distance).
 inline constexpr float kSsspUnreached = engine::SsspKernel::kUnreached;
 
-struct SsspOptions {
-  unsigned threads = 4;
-  unsigned num_nodes = 1;
-  std::uint64_t partition_bytes = 256 * 1024;
-};
-
 struct SsspResult {
   std::vector<float> distance;  ///< >= kSsspUnreached if not reachable
   std::uint64_t reached = 0;
-  engine::RunReport report;
 };
 
 /// Serial Dijkstra reference over the kernel's weight function.
 [[nodiscard]] SsspResult sssp_reference(const graph::Graph& g, vid_t source);
-
-/// HiPa-style parallel SSSP on either backend.
-template <class Backend>
-[[nodiscard]] SsspResult sssp(const graph::Graph& g, vid_t source,
-                              const SsspOptions& opt, Backend& backend) {
-  HIPA_CHECK(source < g.num_vertices(), "source out of range");
-  // num_nodes passes through unclamped (see bfs(): the engine clamps
-  // the plan and pads the thread-team spec itself).
-  auto popt = engine::PcpmOptions::hipa(opt.threads,
-                                        std::max(1u, opt.num_nodes),
-                                        opt.partition_bytes);
-  engine::PcpmEngine<Backend> eng(g, popt, backend);
-  engine::SsspOptions ko;
-  ko.source = source;
-  auto kr = eng.template run<engine::SsspKernel>(ko);
-
-  SsspResult result;
-  result.distance = std::move(kr.values);
-  for (float d : result.distance) {
-    if (d < kSsspUnreached) ++result.reached;
-  }
-  result.report = std::move(kr.report);
-  return result;
-}
 
 }  // namespace hipa::algo

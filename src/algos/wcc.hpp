@@ -1,12 +1,12 @@
-// Weakly-connected components (a further §6-style generalization of
-// the HiPa machinery beyond PageRank/SpMV/BFS).
+// Serial weakly-connected components, the correctness oracle for the
+// engines' WccKernel (engines/kernels.hpp). The kernel propagates
+// labels along in-edges, so it computes *weak* connectivity only on a
+// symmetric graph: run it on graph::symmetrized(g).
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "engines/backend.hpp"
-#include "engines/pcpm_engine.hpp"
-#include "graph/builder.hpp"
 #include "graph/csr.hpp"
 
 namespace hipa::algo {
@@ -17,30 +17,5 @@ namespace hipa::algo {
 
 /// Number of distinct components in a label vector.
 [[nodiscard]] std::size_t count_components(std::span<const vid_t> labels);
-
-/// HiPa-partitioned WCC: symmetrizes the graph (weak connectivity) and
-/// runs min-label propagation through the PCPM bins.
-template <class Backend>
-[[nodiscard]] std::vector<vid_t> wcc(const graph::Graph& g,
-                                     const engine::PcpmOptions& opt,
-                                     Backend& backend,
-                                     unsigned* rounds_out = nullptr) {
-  // Weak connectivity ignores direction: rebuild with reverse edges.
-  std::vector<Edge> edges;
-  edges.reserve(g.num_edges());
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    for (vid_t u : g.out.neighbors(v)) edges.push_back(Edge{v, u});
-  }
-  graph::BuildOptions bopts;
-  bopts.symmetrize = true;
-  bopts.remove_duplicates = true;
-  const graph::Graph sym = graph::build_graph(g.num_vertices(), edges,
-                                              bopts);
-
-  engine::PcpmEngine<Backend> eng(sym, opt, backend);
-  auto result = eng.run_wcc();
-  if (rounds_out != nullptr) *rounds_out = result.rounds;
-  return std::move(result.labels);
-}
 
 }  // namespace hipa::algo

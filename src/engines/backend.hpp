@@ -474,8 +474,6 @@ class SimBackend {
   sim::PlacementVec placement_;
 };
 
-/// PageRank run parameters — the one options surface every engine's
-/// `run()` / `run_pagerank()` accepts (PCPM family, v-PR, Polymer).
 /// Kernel-independent run controls shared by every engine and every
 /// kernel (PageRank, PPR, BFS, WCC, SSSP): iteration budget,
 /// convergence tracking, instrumentation, placement and reordering.

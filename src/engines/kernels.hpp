@@ -2,7 +2,8 @@
 //
 // A kernel packages everything algorithm-specific about one
 // scatter-gather computation so the engines (PcpmEngine, VprEngine,
-// PolymerEngine) can stay algorithm-agnostic:
+// PolymerEngine) can stay algorithm-agnostic. An engine's run<K>() is
+// its one run entry:
 //
 //   Message  POD payload written into the PcpmBins value stream (one
 //            per source vertex per destination partition). The bin
@@ -82,7 +83,7 @@ struct BfsOptions {
 };
 
 /// WCC by min-label propagation (graph must be symmetrized for *weak*
-/// connectivity — algo::wcc does that).
+/// connectivity — graph::symmetrized does that).
 struct WccOptions {
   unsigned max_rounds = 100000;
 };
@@ -96,7 +97,8 @@ struct SsspOptions {
   unsigned max_rounds = 100000;
 };
 
-/// Typed result of engine::run<K> / PcpmEngine::run<K>.
+/// Typed result of every engine's run<K>() and of
+/// algo::run_kernel_{native,sim}<K>.
 template <class K>
 struct KernelResult {
   RunReport report;
@@ -674,8 +676,7 @@ struct BfsKernel {
 /// Weakly-connected components by min-label propagation (labels
 /// converge to the smallest vertex id of each component). The graph
 /// must be symmetric (every edge in both directions) for the result to
-/// be *weak* connectivity — algo::wcc symmetrizes before building the
-/// engine. Every partition starts active; a partition goes quiet once
+/// be *weak* connectivity — run it on graph::symmetrized(g). Every partition starts active; a partition goes quiet once
 /// none of its labels changed in a round.
 struct WccKernel {
   using Message = vid_t;

@@ -31,6 +31,7 @@
 #include "common/logging.hpp"
 #include "common/numeric.hpp"
 #include "engines/backend.hpp"
+#include "engines/run_scope.hpp"
 #include "graph/io.hpp"
 #include "runtime/trace.hpp"
 
@@ -197,19 +198,20 @@ class OocoreEngine {
     backend_->start_team(spec);
 
     const auto r0 = static_cast<rank_t>(1.0 / static_cast<double>(n));
-    timed_phase<kTel>(runtime::Phase::kInit, [&](unsigned t, Mem&) {
-      runtime::MaybeTimer<kTel> sw;
-      sw.reset();
-      for (vid_t v = vertex_chunks_[t]; v < vertex_chunks_[t + 1]; ++v) {
-        rank_[v] = r0;
-      }
-      if constexpr (kTel) {
-        runtime::PhaseSample& row =
-            timeline_.thread(t)[runtime::Phase::kInit];
-        ++row.invocations;
-        row.wall_seconds += sw.seconds();
-      }
-    });
+    timed_phase<kTel>(
+        *backend_, timeline_, runtime::Phase::kInit, [&](unsigned t, Mem&) {
+          runtime::MaybeTimer<kTel> sw;
+          sw.reset();
+          for (vid_t v = vertex_chunks_[t]; v < vertex_chunks_[t + 1]; ++v) {
+            rank_[v] = r0;
+          }
+          if constexpr (kTel) {
+            runtime::PhaseSample& row =
+                timeline_.thread(t)[runtime::Phase::kInit];
+            ++row.invocations;
+            row.wall_seconds += sw.seconds();
+          }
+        });
 
     // Spin up the producer once for the whole run; it stays exactly
     // one segment ahead across iteration boundaries too (the last
@@ -235,19 +237,20 @@ class OocoreEngine {
     for (unsigned it = 0; it < pr.iterations; ++it) {
       [[maybe_unused]] double it0 = 0.0;
       if constexpr (kTel) it0 = backend_->now_seconds();
-      timed_phase<kTel>(runtime::Phase::kScatter, [&](unsigned t, Mem&) {
-        contrib_pass<kTel>(t);
-      });
+      timed_phase<kTel>(*backend_, timeline_, runtime::Phase::kScatter,
+                        [&](unsigned t, Mem&) { contrib_pass<kTel>(t); });
       if (track_delta) {
-        for (PaddedDouble& p : partials) p.v = 0.0;
+        for (PaddedDouble& p : partials) p.value = 0.0;
       }
       for (unsigned s = 0; s < num_segments; ++s, ++seq) {
         const void* payload = acquire_segment<kTel>(pipe, async, s, seq);
         const graph::SegmentedCsr::SegmentView view = scsr_.view(s, payload);
-        timed_phase<kTel>(runtime::Phase::kGather, [&](unsigned t, Mem&) {
-          gather_pass<kTel>(t, view, base, pr.damping,
-                            track_delta ? &partials[t].v : nullptr);
-        });
+        timed_phase<kTel>(*backend_, timeline_, runtime::Phase::kGather,
+                          [&](unsigned t, Mem&) {
+                            gather_pass<kTel>(
+                                t, view, base, pr.damping,
+                                track_delta ? &partials[t].value : nullptr);
+                          });
         if (async) release_segment(pipe, seq);
       }
       std::swap(rank_, new_rank_);
@@ -256,8 +259,7 @@ class OocoreEngine {
         timeline_.record_iteration(backend_->now_seconds() - it0);
       }
       if (track_delta) {
-        last_delta = 0.0;
-        for (const PaddedDouble& p : partials) last_delta += p.v;
+        last_delta = reduce_deltas(partials);
         if (last_delta <= pr.tolerance) break;
       }
     }
@@ -435,22 +437,6 @@ class OocoreEngine {
     const auto tt = static_cast<std::uint64_t>(t);
     return static_cast<vid_t>(tt * nv / opt_.num_threads);
   }
-
-  /// Region accounting around one phase() dispatch (vpr/pcpm idiom).
-  template <bool kTel, class F>
-  void timed_phase(runtime::Phase ph, F&& kernel) {
-    if constexpr (!kTel) {
-      backend_->phase(std::forward<F>(kernel));
-    } else {
-      const double t0 = backend_->now_seconds();
-      backend_->phase(std::forward<F>(kernel));
-      timeline_.record_region(ph, backend_->now_seconds() - t0);
-    }
-  }
-
-  struct alignas(kCacheLine) PaddedDouble {
-    double v = 0.0;
-  };
 
   OocoreOptions opt_;
   NativeBackend* backend_;

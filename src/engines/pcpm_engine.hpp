@@ -28,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,14 +36,13 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/prefetch.hpp"
 #include "engines/backend.hpp"
 #include "engines/kernels.hpp"
+#include "engines/run_scope.hpp"
 #include "graph/csr.hpp"
 #include "partition/plan.hpp"
 #include "pcp/bins.hpp"
-#include "runtime/trace.hpp"
 
 namespace hipa::engine {
 
@@ -140,17 +138,10 @@ class PcpmEngine {
     preprocessing_seconds_ = backend.now_seconds() - t0;
   }
 
-  /// Unified run surface: report + final ranks in one value.
-  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
-    RunResult result;
-    result.report = run_pagerank(pr, &result.ranks);
-    return result;
-  }
-
-  /// Kernel-generic run surface: one templated entry point for every
-  /// kernel (PageRank, PPR, BFS, WCC, SSSP). Instrumentation
-  /// (telemetry, hw counters, trace spans) stays a compile-time fork:
-  /// the uninstrumented instantiation contains no recording code.
+  /// The engine's one run entry: every kernel (PageRank, PPR, BFS,
+  /// WCC, SSSP) goes through it. Instrumentation (telemetry, hw
+  /// counters, trace spans) stays a compile-time fork: the
+  /// uninstrumented instantiation contains no recording code.
   template <class K>
   [[nodiscard]] KernelResult<K> run(const typename K::Options& ko,
                                     const RunOptions& ro = {}) {
@@ -161,16 +152,10 @@ class PcpmEngine {
     return result;
   }
 
-  /// Run PageRank; final ranks land in `ranks_out` when non-null.
-  /// Thin wrapper over the generic core — ranks are bitwise identical
-  /// to the pre-redesign PageRank-only engine.
-  RunReport run_pagerank(const PageRankOptions& pr,
-                         std::vector<rank_t>* ranks_out = nullptr) {
-    PrOptions ko;
-    ko.damping = pr.damping;
-    return pr.instrumented()
-               ? run_kernel_impl<PageRankKernel, true>(ko, pr, ranks_out)
-               : run_kernel_impl<PageRankKernel, false>(ko, pr, ranks_out);
+  /// PageRank shorthand for run<PageRankKernel> with `pr`'s damping.
+  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
+    auto kr = run<PageRankKernel>({pr.damping}, pr);
+    return {std::move(kr.report), std::move(kr.values)};
   }
 
  private:
@@ -227,36 +212,9 @@ class PcpmEngine {
     KernelSlot<K>& sl = slot<K>();
     K::begin_run(sl.state, ko, *graph_);
     const unsigned max_iters = K::max_iterations(ko, ro);
-    if constexpr (kTel) {
-      timeline_.reset(opt_.num_threads);
-      timeline_.reserve_iterations(std::min(max_iters, 4096u));
-      if constexpr (!Backend::kSimulated) {
-        // Hardware counters + trace spans are host-side concepts; the
-        // simulated backend keeps its modeled counters instead.
-        hwprof_.reset(opt_.num_threads,
-                      ro.hw_counters == runtime::HwProf::kOn);
-        if (!ro.trace_path.empty()) {
-          timeline_.enable_spans(
-              4 * std::size_t{std::min(max_iters, 4096u)} + 8);
-        }
-      }
-    }
-    ThreadTeamSpec spec;
-    spec.num_threads = opt_.num_threads;
-    spec.persistent = opt_.persistent_threads;
-    spec.binding = opt_.numa_aware ? ThreadTeamSpec::Binding::kNodeBlocked
-                                   : ThreadTeamSpec::Binding::kRandom;
-    // Pad with idle nodes when the plan collapsed to fewer nodes than
-    // the machine has (node-blocked placement wants one entry each).
-    spec.threads_per_node = plan_.threads_per_node;
-    spec.threads_per_node.resize(
-        std::max<std::size_t>(spec.threads_per_node.size(),
-                              opt_.num_nodes),
-        0);
-
-    sim::SimStats before;
-    if constexpr (Backend::kSimulated) before = backend_->machine().stats();
-    const double t0 = backend_->now_seconds();
+    const ThreadTeamSpec spec = team_spec();
+    RunScope<Backend, kTel> scope(*backend_, timeline_, hwprof_, ro,
+                                  opt_.num_threads, max_iters, {4, 8});
 
     // Iteration region: any page-aligned allocation from here on must
     // come from the arena (debug builds assert; all builds count).
@@ -286,19 +244,18 @@ class PcpmEngine {
                                      &last_delta);
       }
     } else {
-      timed_phase<kTel>(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
+      scope.phase(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
         init_thread<K, kTel>(sl, t, mem);
       });
       for (unsigned it = 0; it < max_iters; ++it) {
         [[maybe_unused]] double it0 = 0.0;
         if constexpr (kTel) it0 = backend_->now_seconds();
         ++phase_salt_;
-        timed_phase<kTel>(runtime::Phase::kScatter,
-                          [&](unsigned t, Mem& mem) {
-                            scatter_thread<K, kTel>(sl, t, mem);
-                          });
+        scope.phase(runtime::Phase::kScatter, [&](unsigned t, Mem& mem) {
+          scatter_thread<K, kTel>(sl, t, mem);
+        });
         ++phase_salt_;
-        timed_phase<kTel>(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
+        scope.phase(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
           if (track) deltas_[t].value = 0.0;
           gather_thread<K, kTel>(sl, t, mem,
                                  track ? &deltas_[t].value : nullptr);
@@ -311,7 +268,7 @@ class PcpmEngine {
           if (!advance_frontier(sl)) break;
         } else {
           if (track) {
-            last_delta = reduce_deltas();
+            last_delta = reduce_deltas(deltas_);
             if (last_delta <= ro.tolerance) break;
           }
         }
@@ -319,40 +276,32 @@ class PcpmEngine {
     }
     backend_->end_team();
 
-    RunReport report;
-    report.seconds = backend_->now_seconds() - t0;
+    RunReport report = scope.finish(ro, engine_label());
     report.preprocessing_seconds = preprocessing_seconds_ + sl.prep_seconds;
     report.iterations = iters_done;
     report.last_delta = last_delta;
-    if constexpr (Backend::kSimulated) {
-      report.stats = stats_delta(backend_->machine().stats(), before);
-    }
-    if constexpr (kTel) {
-      report.telemetry = runtime::aggregate(timeline_);
-      if constexpr (!Backend::kSimulated) {
-        if (ro.hw_counters == runtime::HwProf::kOn) {
-          report.telemetry.hw_available = hwprof_.any_open();
-          report.telemetry.hw_threads = hwprof_.open_threads();
-          report.telemetry.hw_event_mask = hwprof_.event_mask();
-          if (!report.telemetry.hw_available && hwprof_.num_threads() > 0) {
-            report.telemetry.hw_errno = hwprof_.group(0).last_errno();
-          }
-        }
-        if (!ro.trace_path.empty() &&
-            !trace::ChromeTraceWriter::write(ro.trace_path, timeline_,
-                                             engine_label())) {
-          HIPA_WARN("trace write failed: " << ro.trace_path);
-        }
-      }
-    }
     if constexpr (!Backend::kSimulated) {
-      // Plain runtime branch after the parallel region — never on the
-      // hot path, works with or without telemetry.
-      report.arena = backend_->arena_stats();
       if (ro.audit_placement) report.placement_audit = run_placement_audit(sl);
     }
     if (values_out != nullptr) K::extract(sl.state, *values_out);
     return report;
+  }
+
+  /// The thread team of every run: persistent or per-phase, pinned to
+  /// the plan's nodes when NUMA-aware. Padded with idle nodes when the
+  /// plan collapsed to fewer nodes than the machine has (node-blocked
+  /// placement wants one entry each).
+  [[nodiscard]] ThreadTeamSpec team_spec() const {
+    ThreadTeamSpec spec;
+    spec.num_threads = opt_.num_threads;
+    spec.persistent = opt_.persistent_threads;
+    spec.binding = opt_.numa_aware ? ThreadTeamSpec::Binding::kNodeBlocked
+                                   : ThreadTeamSpec::Binding::kRandom;
+    spec.threads_per_node = plan_.threads_per_node;
+    spec.threads_per_node.resize(
+        std::max<std::size_t>(spec.threads_per_node.size(), opt_.num_nodes),
+        0);
+    return spec;
   }
 
   /// Human label for traces: which of the three PCPM configurations
@@ -365,60 +314,12 @@ class PcpmEngine {
     return opt_.framework_overhead ? "GPOP" : "p-PR";
   }
 
-  /// Wrap one phase() dispatch in region accounting: region wall time
-  /// (simulated seconds on SimBackend, host seconds on native) plus,
-  /// on the simulated backend, the DRAM local/remote access delta the
-  /// region produced. The kOff instantiation is exactly
-  /// `backend_->phase(kernel)` — zero added code.
-  template <bool kTel, class F>
-  void timed_phase(runtime::Phase ph, F&& kernel) {
-    if constexpr (!kTel) {
-      backend_->phase(std::forward<F>(kernel));
-    } else {
-      [[maybe_unused]] sim::SimStats s0;
-      if constexpr (Backend::kSimulated) s0 = backend_->machine().stats();
-      const double t0 = backend_->now_seconds();
-      backend_->phase(std::forward<F>(kernel));
-      const double dt = backend_->now_seconds() - t0;
-      if constexpr (Backend::kSimulated) {
-        const sim::SimStats d =
-            stats_delta(backend_->machine().stats(), s0);
-        timeline_.record_region(ph, dt, d.dram_local_accesses,
-                                d.dram_remote_accesses);
-      } else {
-        timeline_.record_region(ph, dt);
-      }
-    }
-  }
-
  public:
   /// Whether run() will take the single-dispatch run_loop path
   /// (backend capability x policy knobs). Exposed for tests/bench.
   [[nodiscard]] bool uses_single_dispatch() const {
     return Backend::kSupportsRunLoop && opt_.single_dispatch &&
            opt_.persistent_threads && opt_.pinned_partitions;
-  }
-
-  /// Field-wise counter subtraction (this run's delta).
-  static sim::SimStats stats_delta(sim::SimStats s, const sim::SimStats& b) {
-    s.loads -= b.loads;
-    s.stores -= b.stores;
-    s.atomics -= b.atomics;
-    s.l1_hits -= b.l1_hits;
-    s.l1_misses -= b.l1_misses;
-    s.l2_hits -= b.l2_hits;
-    s.l2_misses -= b.l2_misses;
-    s.llc_hits -= b.llc_hits;
-    s.llc_misses -= b.llc_misses;
-    s.dram_local_accesses -= b.dram_local_accesses;
-    s.dram_remote_accesses -= b.dram_remote_accesses;
-    s.dram_local_bytes -= b.dram_local_bytes;
-    s.dram_remote_bytes -= b.dram_remote_bytes;
-    s.thread_creations -= b.thread_creations;
-    s.thread_migrations -= b.thread_migrations;
-    s.phases -= b.phases;
-    s.total_cycles -= b.total_cycles;
-    return s;
   }
 
   /// Sparse matrix-vector product over the adjacency matrix:
@@ -431,15 +332,7 @@ class PcpmEngine {
     HIPA_CHECK(x.size() == n, "input vector size mismatch");
     KernelSlot<PageRankKernel>& sl = slot<PageRankKernel>();
     typename PageRankKernel::State& st = sl.state;
-    ThreadTeamSpec spec;
-    spec.num_threads = opt_.num_threads;
-    spec.persistent = opt_.persistent_threads;
-    spec.binding = opt_.numa_aware ? ThreadTeamSpec::Binding::kNodeBlocked
-                                   : ThreadTeamSpec::Binding::kRandom;
-    spec.threads_per_node = plan_.threads_per_node;
-    spec.threads_per_node.resize(
-        std::max<std::size_t>(spec.threads_per_node.size(), opt_.num_nodes),
-        0);
+    const ThreadTeamSpec spec = team_spec();
 
     sim::SimStats before;
     if constexpr (Backend::kSimulated) before = backend_->machine().stats();
@@ -487,27 +380,9 @@ class PcpmEngine {
     report.preprocessing_seconds = preprocessing_seconds_;
     report.iterations = 1;
     if constexpr (Backend::kSimulated) {
-      report.stats = stats_delta(backend_->machine().stats(), before);
+      report.stats = backend_->machine().stats() - before;
     }
     return report;
-  }
-
-  /// Weakly-connected components through the generic WccKernel (kept
-  /// as a named convenience for algo::wcc and older call sites). The
-  /// graph must be symmetric for the result to be *weak* connectivity.
-  struct WccResult {
-    std::vector<vid_t> labels;
-    unsigned rounds = 0;
-    RunReport report;
-  };
-  WccResult run_wcc(unsigned max_rounds = 1000) {
-    WccOptions ko;
-    ko.max_rounds = max_rounds;
-    const RunOptions ro;
-    WccResult result;
-    result.report = run_kernel_impl<WccKernel, false>(ko, ro, &result.labels);
-    result.rounds = result.report.iterations;
-    return result;
   }
 
   [[nodiscard]] const part::HierarchicalPlan& plan() const { return plan_; }
@@ -670,21 +545,6 @@ class PcpmEngine {
 
   // ---- single-dispatch run loop (Algorithm 2) -----------------------------
 
-  /// One cache line per thread so convergence partials never
-  /// false-share.
-  struct alignas(kCacheLine) PaddedDouble {
-    double value = 0.0;
-  };
-
-  /// Deterministic thread-index-order reduction of the per-thread L1
-  /// partials — shared by both execution paths so the early-stop
-  /// decision is bit-identical.
-  [[nodiscard]] double reduce_deltas() const {
-    double sum = 0.0;
-    for (const PaddedDouble& d : deltas_) sum += d.value;
-    return sum;
-  }
-
   /// Frontier bookkeeping between rounds (control thread on the
   /// phase() path, thread 0 between barriers on the single-dispatch
   /// path): scan the next-active map written by this round's gather,
@@ -760,7 +620,7 @@ class PcpmEngine {
             stop = !advance_frontier(sl);
           } else {
             if (track) {
-              last_delta = reduce_deltas();
+              last_delta = reduce_deltas(deltas_);
               stop = last_delta <= ro.tolerance;
             }
           }

@@ -21,11 +21,13 @@
 // PageRank family — Ligra/Polymer compute in double precision, twice
 // the attribute traffic of the hand-coded float engines) and the fold
 // accumulator uses K::Pull::Acc. Additive kernels combine sub-pass
-// folds with Ligra's writeAdd (CAS loop even when uncontended);
-// monotone kernels combine with writeMin and early-stop once an
-// iteration changes nothing.
+// folds with Ligra's writeAdd (CAS loop even when uncontended) and stop
+// once the L1 value delta drops to RunOptions::tolerance; monotone
+// kernels combine with writeMin and early-stop once an iteration
+// changes nothing.
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,14 +36,12 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/numeric.hpp"
 #include "engines/backend.hpp"
 #include "engines/kernels.hpp"
-#include "engines/vpr_engine.hpp"  // SimStats delta helper
+#include "engines/run_scope.hpp"
 #include "graph/csr.hpp"
 #include "partition/edge_balanced.hpp"
-#include "runtime/trace.hpp"
 
 namespace hipa::engine {
 
@@ -78,14 +78,7 @@ class PolymerEngine {
     preprocessing_seconds_ = backend.now_seconds() - t0;
   }
 
-  /// Unified run surface: report + final ranks in one value.
-  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
-    RunResult result;
-    result.report = run_pagerank(pr, &result.ranks);
-    return result;
-  }
-
-  /// Kernel-generic run surface (see PcpmEngine::run<K>).
+  /// The engine's one run entry (see PcpmEngine::run<K>).
   template <class K>
   [[nodiscard]] KernelResult<K> run(const typename K::Options& ko,
                                     const RunOptions& ro = {}) {
@@ -96,16 +89,10 @@ class PolymerEngine {
     return result;
   }
 
-  /// Run PageRank; final ranks land in `ranks_out` when non-null.
-  /// Instrumentation is a compile-time fork: the uninstrumented
-  /// instantiation contains no recording code at all.
-  RunReport run_pagerank(const PageRankOptions& pr,
-                         std::vector<rank_t>* ranks_out = nullptr) {
-    PrOptions ko;
-    ko.damping = pr.damping;
-    return pr.instrumented()
-               ? run_kernel_impl<PageRankKernel, true>(ko, pr, ranks_out)
-               : run_kernel_impl<PageRankKernel, false>(ko, pr, ranks_out);
+  /// PageRank shorthand for run<PageRankKernel> with `pr`'s damping.
+  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
+    auto kr = run<PageRankKernel>({pr.damping}, pr);
+    return {std::move(kr.report), std::move(kr.values)};
   }
 
  private:
@@ -194,19 +181,6 @@ class PolymerEngine {
     PolySlot<K>& sl = slot<K>();
     sl.damping = K::Pull::setup(ko, *graph_, sl.init, sl.bias);
     const unsigned max_iters = K::max_iterations(ko, ro);
-    if constexpr (kTel) {
-      timeline_.reset(opt_.num_threads);
-      timeline_.reserve_iterations(std::min(max_iters, 4096u));
-      if constexpr (!Backend::kSimulated) {
-        hwprof_.reset(opt_.num_threads,
-                      ro.hw_counters == runtime::HwProf::kOn);
-        if (!ro.trace_path.empty()) {
-          timeline_.enable_spans(std::size_t{std::min(max_iters, 4096u)} *
-                                     (1 + opt_.num_nodes) +
-                                 4);
-        }
-      }
-    }
     ThreadTeamSpec spec;
     spec.num_threads = opt_.num_threads;
     spec.persistent = true;
@@ -216,10 +190,9 @@ class PolymerEngine {
     // as threads_per_node_, matching thread_vertex_bounds_.
     spec.binding = ThreadTeamSpec::Binding::kNodeBlocked;
     spec.threads_per_node = threads_per_node_;
-
-    sim::SimStats before;
-    if constexpr (Backend::kSimulated) before = backend_->machine().stats();
-    const double t0 = backend_->now_seconds();
+    RunScope<Backend, kTel> scope(*backend_, timeline_, hwprof_, ro,
+                                  opt_.num_threads, max_iters,
+                                  {1 + std::size_t{opt_.num_nodes}, 4});
 
     // Iteration region: page-aligned allocations must come from the
     // arena (debug builds assert; all builds count bypasses).
@@ -229,7 +202,9 @@ class PolymerEngine {
     if constexpr (K::kUsesFrontier) {
       changes_.assign(opt_.num_threads, PaddedFlag{});
     }
-    timed_phase<kTel>(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
+    const bool track = K::kHasApply && ro.tolerance > 0.0;
+    if (track) deltas_.assign(opt_.num_threads, PaddedDouble{});
+    scope.phase(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
       runtime::MaybeTimer<kTel && !Backend::kSimulated> sw;
       runtime::HwSection<kTel && !Backend::kSimulated> hwsec(hwprof_, t);
       runtime::MaybeSpan<kTel && !Backend::kSimulated> span(timeline_);
@@ -253,21 +228,22 @@ class PolymerEngine {
       }
     });
     unsigned iters_done = 0;
+    double last_delta = 0.0;
     for (unsigned it = 0; it < max_iters; ++it) {
       [[maybe_unused]] double it0 = 0.0;
       if constexpr (kTel) it0 = backend_->now_seconds();
       // Polymer maps onto the shared phase vocabulary as
       // replicate→scatter (produce per-node contribution replicas)
       // and pull→gather (consume one replica entry per in-edge).
-      timed_phase<kTel>(runtime::Phase::kScatter, [&](unsigned t, Mem& mem) {
+      scope.phase(runtime::Phase::kScatter, [&](unsigned t, Mem& mem) {
         replicate_pass<K, kTel>(sl, t, mem);
       });
       for (unsigned m = 0; m < opt_.num_nodes; ++m) {
         const bool last = (m + 1 == opt_.num_nodes);
-        timed_phase<kTel>(runtime::Phase::kGather,
-                          [&](unsigned t, Mem& mem) {
-                            pull_pass<K, kTel>(sl, t, mem, m, last);
-                          });
+        scope.phase(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
+          pull_pass<K, kTel>(sl, t, mem, m, last,
+                             track ? &deltas_[t].value : nullptr);
+        });
       }
       // The frontier double-buffer flips once per iteration (framework
       // behavior; contents are all-ones regardless of kernel).
@@ -280,38 +256,20 @@ class PolymerEngine {
         bool any = false;
         for (const PaddedFlag& f : changes_) any = any || f.value;
         if (!any) break;
+      } else {
+        if (track) {
+          last_delta = reduce_deltas(deltas_);
+          if (last_delta <= ro.tolerance) break;
+        }
       }
     }
     backend_->end_team();
 
-    RunReport report;
-    report.seconds = backend_->now_seconds() - t0;
+    RunReport report = scope.finish(ro, "Polymer");
     report.preprocessing_seconds = preprocessing_seconds_ + sl.prep_seconds;
     report.iterations = iters_done;
-    if constexpr (Backend::kSimulated) {
-      report.stats =
-          VprEngine<Backend>::delta(backend_->machine().stats(), before);
-    }
-    if constexpr (kTel) {
-      report.telemetry = runtime::aggregate(timeline_);
-      if constexpr (!Backend::kSimulated) {
-        if (ro.hw_counters == runtime::HwProf::kOn) {
-          report.telemetry.hw_available = hwprof_.any_open();
-          report.telemetry.hw_threads = hwprof_.open_threads();
-          report.telemetry.hw_event_mask = hwprof_.event_mask();
-          if (!report.telemetry.hw_available && hwprof_.num_threads() > 0) {
-            report.telemetry.hw_errno = hwprof_.group(0).last_errno();
-          }
-        }
-        if (!ro.trace_path.empty() &&
-            !trace::ChromeTraceWriter::write(ro.trace_path, timeline_,
-                                             "Polymer")) {
-          HIPA_WARN("trace write failed: " << ro.trace_path);
-        }
-      }
-    }
+    report.last_delta = last_delta;
     if constexpr (!Backend::kSimulated) {
-      report.arena = backend_->arena_stats();
       if (ro.audit_placement) {
         report.placement_audit = run_placement_audit<K>(sl);
       }
@@ -323,29 +281,6 @@ class PolymerEngine {
       }
     }
     return report;
-  }
-
-  /// Region accounting around one phase() dispatch (see PcpmEngine for
-  /// the rationale); kOff is exactly `backend_->phase(kernel)`.
-  template <bool kTel, class F>
-  void timed_phase(runtime::Phase ph, F&& kernel) {
-    if constexpr (!kTel) {
-      backend_->phase(std::forward<F>(kernel));
-    } else {
-      [[maybe_unused]] sim::SimStats s0;
-      if constexpr (Backend::kSimulated) s0 = backend_->machine().stats();
-      const double t0 = backend_->now_seconds();
-      backend_->phase(std::forward<F>(kernel));
-      const double dt = backend_->now_seconds() - t0;
-      if constexpr (Backend::kSimulated) {
-        const sim::SimStats d =
-            VprEngine<Backend>::delta(backend_->machine().stats(), s0);
-        timeline_.record_region(ph, dt, d.dram_local_accesses,
-                                d.dram_remote_accesses);
-      } else {
-        timeline_.record_region(ph, dt);
-      }
-    }
   }
 
  public:
@@ -537,10 +472,13 @@ class PolymerEngine {
   }
 
   /// One source-node sub-pass of the pull; the last sub-pass applies
-  /// the vertex update and refreshes the frontier.
+  /// the vertex update and refreshes the frontier. When `delta_out` is
+  /// non-null (PageRank-family runs tracking convergence), the last
+  /// sub-pass stores this thread's L1 value change there; the update
+  /// arithmetic is identical either way.
   template <class K, bool kTel>
   void pull_pass(PolySlot<K>& sl, unsigned t, Mem& mem, unsigned m,
-                 bool last) {
+                 bool last, double* delta_out) {
     using TV = typename K::Pull::PolymerValue;
     using Acc = typename K::Pull::Acc;
     using Message = typename K::Message;
@@ -588,11 +526,16 @@ class PolymerEngine {
       mem.stream_read(frontier_.data() + b, e - b);
       mem.stream_write(next_frontier_.data() + b, e - b);
       const TV* bias = sl.bias.empty() ? nullptr : sl.bias.data();
+      double l1 = 0.0;
       for (vid_t v = b; v < e; ++v) {
         const TV next = K::Pull::apply(sl.value[v], sl.acc[v],
                                        bias ? bias[v] : TV{}, sl.damping);
         if constexpr (K::kUsesFrontier) {
           any_changed = any_changed || next != sl.value[v];
+        }
+        if (delta_out != nullptr) {
+          l1 += std::fabs(static_cast<double>(next) -
+                          static_cast<double>(sl.value[v]));
         }
         sl.value[v] = next;
         sl.acc[v] = K::Pull::template identity<Acc>();
@@ -603,6 +546,7 @@ class PolymerEngine {
       if constexpr (K::kUsesFrontier) {
         changes_[t].value = any_changed;
       }
+      if (delta_out != nullptr) *delta_out = l1;
     }
     if constexpr (kTel) {
       runtime::PhaseSample& row =
@@ -632,6 +576,9 @@ class PolymerEngine {
   std::vector<AlignedBuffer<vid_t>> sub_targets_;
   /// Per-thread changed flags (monotone kernels' early stop).
   std::vector<PaddedFlag> changes_;
+  /// Per-thread L1 convergence partials (only sized when a run tracks
+  /// convergence).
+  std::vector<PaddedDouble> deltas_;
   /// Per-thread telemetry rows + phase-region totals; reset at the top
   /// of every telemetered run, untouched (empty) otherwise.
   runtime::PhaseTimeline timeline_;

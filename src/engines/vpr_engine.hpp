@@ -13,10 +13,11 @@
 // pull-mode algebra (K::Pull — engines/kernels.hpp), so the same
 // contrib/pull structure runs PageRank, PPR, BFS, WCC and SSSP.
 // Monotone (frontier) kernels early-stop when an iteration changes no
-// vertex value; PageRank keeps its fixed iteration count and bitwise
-// ranks.
+// vertex value; PageRank-family kernels stop once the L1 rank delta
+// drops to RunOptions::tolerance (fixed iteration count when 0).
 #pragma once
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <typeindex>
@@ -24,13 +25,12 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/numeric.hpp"
 #include "engines/backend.hpp"
 #include "engines/kernels.hpp"
+#include "engines/run_scope.hpp"
 #include "graph/csr.hpp"
 #include "partition/edge_balanced.hpp"
-#include "runtime/trace.hpp"
 
 namespace hipa::engine {
 
@@ -71,14 +71,7 @@ class VprEngine {
     preprocessing_seconds_ = backend.now_seconds() - t0;
   }
 
-  /// Unified run surface: report + final ranks in one value.
-  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
-    RunResult result;
-    result.report = run_pagerank(pr, &result.ranks);
-    return result;
-  }
-
-  /// Kernel-generic run surface (see PcpmEngine::run<K>).
+  /// The engine's one run entry (see PcpmEngine::run<K>).
   template <class K>
   [[nodiscard]] KernelResult<K> run(const typename K::Options& ko,
                                     const RunOptions& ro = {}) {
@@ -89,16 +82,10 @@ class VprEngine {
     return result;
   }
 
-  /// Run PageRank; final ranks land in `ranks_out` when non-null.
-  /// Instrumentation is a compile-time fork: the uninstrumented
-  /// instantiation contains no recording code at all.
-  RunReport run_pagerank(const PageRankOptions& pr,
-                         std::vector<rank_t>* ranks_out = nullptr) {
-    PrOptions ko;
-    ko.damping = pr.damping;
-    return pr.instrumented()
-               ? run_kernel_impl<PageRankKernel, true>(ko, pr, ranks_out)
-               : run_kernel_impl<PageRankKernel, false>(ko, pr, ranks_out);
+  /// PageRank shorthand for run<PageRankKernel> with `pr`'s damping.
+  [[nodiscard]] RunResult run(const PageRankOptions& pr) {
+    auto kr = run<PageRankKernel>({pr.damping}, pr);
+    return {std::move(kr.report), std::move(kr.values)};
   }
 
  private:
@@ -152,18 +139,6 @@ class VprEngine {
     VprSlot<K>& sl = slot<K>();
     sl.damping = K::Pull::setup(ko, *graph_, sl.init, sl.bias);
     const unsigned max_iters = K::max_iterations(ko, ro);
-    if constexpr (kTel) {
-      timeline_.reset(opt_.num_threads);
-      timeline_.reserve_iterations(std::min(max_iters, 4096u));
-      if constexpr (!Backend::kSimulated) {
-        hwprof_.reset(opt_.num_threads,
-                      ro.hw_counters == runtime::HwProf::kOn);
-        if (!ro.trace_path.empty()) {
-          timeline_.enable_spans(
-              2 * std::size_t{std::min(max_iters, 4096u)} + 4);
-        }
-      }
-    }
     ThreadTeamSpec spec;
     spec.num_threads = opt_.num_threads;
     spec.persistent = false;  // per-region fork-join, Algorithm 1 style
@@ -172,10 +147,8 @@ class VprEngine {
     // OS-managed-threads model), matching the simulator's random
     // placement.
     spec.binding = ThreadTeamSpec::Binding::kRandom;
-
-    sim::SimStats before;
-    if constexpr (Backend::kSimulated) before = backend_->machine().stats();
-    const double t0 = backend_->now_seconds();
+    RunScope<Backend, kTel> scope(*backend_, timeline_, hwprof_, ro,
+                                  opt_.num_threads, max_iters, {2, 4});
 
     // Iteration region: page-aligned allocations must come from the
     // arena (debug builds assert; all builds count bypasses).
@@ -185,7 +158,9 @@ class VprEngine {
     if constexpr (K::kUsesFrontier) {
       changes_.assign(opt_.num_threads, PaddedFlag{});
     }
-    timed_phase<kTel>(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
+    const bool track = K::kHasApply && ro.tolerance > 0.0;
+    if (track) deltas_.assign(opt_.num_threads, PaddedDouble{});
+    scope.phase(runtime::Phase::kInit, [&](unsigned t, Mem& mem) {
       runtime::MaybeTimer<kTel && !Backend::kSimulated> sw;
       runtime::HwSection<kTel && !Backend::kSimulated> hwsec(hwprof_, t);
       runtime::MaybeSpan<kTel && !Backend::kSimulated> span(timeline_);
@@ -205,18 +180,19 @@ class VprEngine {
       }
     });
     unsigned iters_done = 0;
+    double last_delta = 0.0;
     for (unsigned it = 0; it < max_iters; ++it) {
       [[maybe_unused]] double it0 = 0.0;
       if constexpr (kTel) it0 = backend_->now_seconds();
       // v-PR maps onto the shared phase vocabulary as
       // contrib→scatter (produce per-vertex contributions) and
       // pull→gather (consume one contribution per in-edge).
-      timed_phase<kTel>(runtime::Phase::kScatter, [&](unsigned t, Mem& mem) {
+      scope.phase(runtime::Phase::kScatter, [&](unsigned t, Mem& mem) {
         contrib_pass<K, kTel>(sl, t, mem);
       });
-      timed_phase<kTel>(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
+      scope.phase(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
         if constexpr (K::kUsesFrontier) changes_[t].value = false;
-        pull_pass<K, kTel>(sl, t, mem);
+        pull_pass<K, kTel>(sl, t, mem, track ? &deltas_[t].value : nullptr);
       });
       if constexpr (kTel) {
         timeline_.record_iteration(backend_->now_seconds() - it0);
@@ -226,95 +202,32 @@ class VprEngine {
         bool any = false;
         for (const PaddedFlag& f : changes_) any = any || f.value;
         if (!any) break;
+      } else {
+        if (track) {
+          last_delta = reduce_deltas(deltas_);
+          if (last_delta <= ro.tolerance) break;
+        }
       }
     }
     backend_->end_team();
 
-    RunReport report;
-    report.seconds = backend_->now_seconds() - t0;
-    report.preprocessing_seconds = preprocessing_seconds_;
-    report.iterations = iters_done;
-    if constexpr (Backend::kSimulated) {
-      report.stats = delta(backend_->machine().stats(), before);
-    }
-    if constexpr (kTel) {
-      report.telemetry = runtime::aggregate(timeline_);
-      if constexpr (!Backend::kSimulated) {
-        if (ro.hw_counters == runtime::HwProf::kOn) {
-          report.telemetry.hw_available = hwprof_.any_open();
-          report.telemetry.hw_threads = hwprof_.open_threads();
-          report.telemetry.hw_event_mask = hwprof_.event_mask();
-          if (!report.telemetry.hw_available && hwprof_.num_threads() > 0) {
-            report.telemetry.hw_errno = hwprof_.group(0).last_errno();
-          }
-        }
-        if (!ro.trace_path.empty() &&
-            !trace::ChromeTraceWriter::write(ro.trace_path, timeline_,
-                                             "v-PR")) {
-          HIPA_WARN("trace write failed: " << ro.trace_path);
-        }
-      }
-    }
     // v-PR is NUMA-oblivious (interleaved data, no per-buffer owner
     // node), so a placement audit has nothing to verify: the default
     // available=false RunReport::placement_audit stands.
-    if constexpr (!Backend::kSimulated) {
-      report.arena = backend_->arena_stats();
-    }
+    RunReport report = scope.finish(ro, "v-PR");
+    report.preprocessing_seconds = preprocessing_seconds_;
+    report.iterations = iters_done;
+    report.last_delta = last_delta;
     if (values_out != nullptr) {
       values_out->assign(sl.value.begin(), sl.value.end());
     }
     return report;
   }
 
-  /// Region accounting around one phase() dispatch (see PcpmEngine for
-  /// the rationale); kOff is exactly `backend_->phase(kernel)`.
-  template <bool kTel, class F>
-  void timed_phase(runtime::Phase ph, F&& kernel) {
-    if constexpr (!kTel) {
-      backend_->phase(std::forward<F>(kernel));
-    } else {
-      [[maybe_unused]] sim::SimStats s0;
-      if constexpr (Backend::kSimulated) s0 = backend_->machine().stats();
-      const double t0 = backend_->now_seconds();
-      backend_->phase(std::forward<F>(kernel));
-      const double dt = backend_->now_seconds() - t0;
-      if constexpr (Backend::kSimulated) {
-        const sim::SimStats d = delta(backend_->machine().stats(), s0);
-        timeline_.record_region(ph, dt, d.dram_local_accesses,
-                                d.dram_remote_accesses);
-      } else {
-        timeline_.record_region(ph, dt);
-      }
-    }
-  }
 
  public:
-
   [[nodiscard]] double preprocessing_seconds() const {
     return preprocessing_seconds_;
-  }
-
-  /// Field-wise subtraction helper shared by the engine family.
-  static sim::SimStats delta(sim::SimStats a, const sim::SimStats& b) {
-    a.loads -= b.loads;
-    a.stores -= b.stores;
-    a.atomics -= b.atomics;
-    a.l1_hits -= b.l1_hits;
-    a.l1_misses -= b.l1_misses;
-    a.l2_hits -= b.l2_hits;
-    a.l2_misses -= b.l2_misses;
-    a.llc_hits -= b.llc_hits;
-    a.llc_misses -= b.llc_misses;
-    a.dram_local_accesses -= b.dram_local_accesses;
-    a.dram_remote_accesses -= b.dram_remote_accesses;
-    a.dram_local_bytes -= b.dram_local_bytes;
-    a.dram_remote_bytes -= b.dram_remote_bytes;
-    a.thread_creations -= b.thread_creations;
-    a.thread_migrations -= b.thread_migrations;
-    a.phases -= b.phases;
-    a.total_cycles -= b.total_cycles;
-    return a;
   }
 
  private:
@@ -365,8 +278,12 @@ class VprEngine {
     }
   }
 
+  /// Pull + apply over the thread's in-degree-balanced chunk. When
+  /// `delta_out` is non-null (PageRank-family runs tracking
+  /// convergence), stores this thread's L1 value change there; the
+  /// update arithmetic is identical either way.
   template <class K, bool kTel>
-  void pull_pass(VprSlot<K>& sl, unsigned t, Mem& mem) {
+  void pull_pass(VprSlot<K>& sl, unsigned t, Mem& mem, double* delta_out) {
     using TV = typename K::Value;
     using Message = typename K::Message;
     runtime::MaybeTimer<kTel && !Backend::kSimulated> sw;
@@ -386,6 +303,7 @@ class VprEngine {
     const TV* bias = sl.bias.empty() ? nullptr : sl.bias.data();
     mem.stream_read(offsets + b, e - b + 1);
     mem.stream_write(sl.value.data() + b, e - b);
+    double l1 = 0.0;
     for (vid_t v = b; v < e; ++v) {
       const eid_t lo = offsets[v];
       const eid_t hi = offsets[v + 1];
@@ -400,6 +318,10 @@ class VprEngine {
       if constexpr (K::kUsesFrontier) {
         any_changed = any_changed || next != value[v];
       }
+      if (delta_out != nullptr) {
+        l1 += std::fabs(static_cast<double>(next) -
+                        static_cast<double>(value[v]));
+      }
       value[v] = next;
       mem.work(hi - lo + 2);
       if constexpr (kTel) tel_edges += hi - lo;
@@ -407,6 +329,7 @@ class VprEngine {
     if constexpr (K::kUsesFrontier) {
       if (any_changed) changes_[t].value = true;
     }
+    if (delta_out != nullptr) *delta_out = l1;
     if constexpr (kTel) {
       runtime::PhaseSample& row =
           timeline_.thread(t)[runtime::Phase::kGather];
@@ -429,6 +352,9 @@ class VprEngine {
   std::vector<std::pair<std::type_index, std::shared_ptr<void>>> slots_;
   /// Per-thread changed flags (monotone kernels' early stop).
   std::vector<PaddedFlag> changes_;
+  /// Per-thread L1 convergence partials (only sized when a run tracks
+  /// convergence).
+  std::vector<PaddedDouble> deltas_;
   /// Per-thread telemetry rows + phase-region totals; reset at the top
   /// of every telemetered run, untouched (empty) otherwise.
   runtime::PhaseTimeline timeline_;

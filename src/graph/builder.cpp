@@ -65,4 +65,16 @@ Graph build_graph(vid_t num_vertices, std::span<const Edge> edges,
   return Graph::from_out(build_csr(num_vertices, edges, opts));
 }
 
+Graph symmetrized(const Graph& g) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    for (vid_t u : g.out.neighbors(v)) edges.push_back(Edge{v, u});
+  }
+  BuildOptions opts;
+  opts.symmetrize = true;
+  opts.remove_duplicates = true;
+  return build_graph(g.num_vertices(), edges, opts);
+}
+
 }  // namespace hipa::graph

@@ -28,6 +28,11 @@ struct BuildOptions {
                                 std::span<const Edge> edges,
                                 const BuildOptions& opts = {});
 
+/// Every edge of `g` in both directions, parallel edges dropped: the
+/// input on which label propagation (engine::WccKernel) computes weak
+/// connectivity.
+[[nodiscard]] Graph symmetrized(const Graph& g);
+
 /// Braced-list conveniences (tests, examples).
 [[nodiscard]] inline CsrGraph build_csr(vid_t num_vertices,
                                         std::initializer_list<Edge> edges,

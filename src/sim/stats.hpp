@@ -80,4 +80,26 @@ inline SimStats& SimStats::operator+=(const SimStats& o) {
   return *this;
 }
 
+/// Field-wise counter difference: `after - before` is one run's delta.
+[[nodiscard]] inline SimStats operator-(SimStats a, const SimStats& b) {
+  a.loads -= b.loads;
+  a.stores -= b.stores;
+  a.atomics -= b.atomics;
+  a.l1_hits -= b.l1_hits;
+  a.l1_misses -= b.l1_misses;
+  a.l2_hits -= b.l2_hits;
+  a.l2_misses -= b.l2_misses;
+  a.llc_hits -= b.llc_hits;
+  a.llc_misses -= b.llc_misses;
+  a.dram_local_accesses -= b.dram_local_accesses;
+  a.dram_remote_accesses -= b.dram_remote_accesses;
+  a.dram_local_bytes -= b.dram_local_bytes;
+  a.dram_remote_bytes -= b.dram_remote_bytes;
+  a.thread_creations -= b.thread_creations;
+  a.thread_migrations -= b.thread_migrations;
+  a.phases -= b.phases;
+  a.total_cycles -= b.total_cycles;
+  return a;
+}
+
 }  // namespace hipa::sim

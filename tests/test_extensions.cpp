@@ -170,16 +170,13 @@ TEST_P(BfsBackends, ParallelMatchesReferenceSim) {
   const unsigned threads = GetParam();
   const graph::Graph g = test_graph(421, 2000, 10000);
   const auto want = bfs_reference(g, 0);
+  // The simulated machine has 2 NUMA nodes; 1 thread collapses the
+  // plan to one.
   sim::SimMachine machine(sim::Topology::skylake_2s().scaled(64));
-  engine::SimBackend backend(machine);
-  BfsOptions opt;
-  opt.threads = threads;
-  opt.num_nodes = 2;
-  opt.partition_bytes = 1024;
-  const auto got = bfs(g, 0, opt, backend);
-  EXPECT_EQ(got.distance, want.distance);
-  EXPECT_EQ(got.levels, want.levels);
-  EXPECT_EQ(got.reached, want.reached);
+  const auto got = run_kernel_sim<engine::BfsKernel>(
+      Method::kHipa, g, machine, {.source = 0},
+      {.threads = threads, .partition_bytes = 1024});
+  EXPECT_EQ(got.values, want.distance);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BfsBackends,
@@ -188,11 +185,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, BfsBackends,
 TEST(Bfs, ParallelMatchesReferenceNative) {
   const graph::Graph g = test_graph(422, 2000, 10000);
   const auto want = bfs_reference(g, 7);
-  engine::NativeBackend backend;
-  BfsOptions opt;
-  opt.threads = 4;
-  const auto got = bfs(g, 7, opt, backend);
-  EXPECT_EQ(got.distance, want.distance);
+  const auto got = run_kernel_native<engine::BfsKernel>(
+      Method::kHipa, g, {.source = 7}, {.threads = 4});
+  EXPECT_EQ(got.values, want.distance);
 }
 
 TEST(Bfs, SourceOutOfRangeThrows) {
@@ -227,20 +222,20 @@ TEST(Wcc, HipaMatchesReferenceSim) {
   const graph::Graph g = test_graph(431, 2000, 6000);
   const auto want = wcc_reference(g);
   sim::SimMachine machine(sim::Topology::skylake_2s().scaled(64));
-  engine::SimBackend backend(machine);
-  auto opt = engine::PcpmOptions::hipa(8, 2, 1024);
-  unsigned rounds = 0;
-  const auto got = wcc(g, opt, backend, &rounds);
-  EXPECT_EQ(got, want);
-  EXPECT_GT(rounds, 0u);
+  const auto got = run_kernel_sim<engine::WccKernel>(
+      Method::kHipa, graph::symmetrized(g), machine, {},
+      {.threads = 8, .partition_bytes = 1024});
+  EXPECT_EQ(got.values, want);
+  EXPECT_GT(got.report.iterations, 0u);
 }
 
 TEST(Wcc, HipaMatchesReferenceNative) {
   const graph::Graph g = test_graph(432, 1500, 4000);
   const auto want = wcc_reference(g);
-  engine::NativeBackend backend;
-  auto opt = engine::PcpmOptions::hipa(4, 1, 2048);
-  EXPECT_EQ(wcc(g, opt, backend), want);
+  const auto got = run_kernel_native<engine::WccKernel>(
+      Method::kHipa, graph::symmetrized(g), {},
+      {.threads = 4, .partition_bytes = 2048});
+  EXPECT_EQ(got.values, want);
 }
 
 TEST(Wcc, BothDstEncodingsAgree) {
@@ -248,26 +243,29 @@ TEST(Wcc, BothDstEncodingsAgree) {
   // gather; the compact and wide encodings must produce identical
   // labels in the same number of rounds.
   const graph::Graph g = test_graph(433, 2000, 6000);
+  const graph::Graph sym = graph::symmetrized(g);
   const auto want = wcc_reference(g);
   engine::NativeBackend b1, b2;
   auto compact = engine::PcpmOptions::hipa(4, 1, 1024);
   compact.dst_encoding = pcp::DstEncoding::kCompact;
   auto wide = compact;
   wide.dst_encoding = pcp::DstEncoding::kWide;
-  unsigned rounds_c = 0;
-  unsigned rounds_w = 0;
-  const auto got_c = wcc(g, compact, b1, &rounds_c);
-  const auto got_w = wcc(g, wide, b2, &rounds_w);
-  EXPECT_EQ(got_c, want);
-  EXPECT_EQ(got_w, want);
-  EXPECT_EQ(rounds_c, rounds_w);
+  engine::PcpmEngine<engine::NativeBackend> eng_c(sym, compact, b1);
+  engine::PcpmEngine<engine::NativeBackend> eng_w(sym, wide, b2);
+  const auto got_c = eng_c.run<engine::WccKernel>({});
+  const auto got_w = eng_w.run<engine::WccKernel>({});
+  EXPECT_EQ(got_c.values, want);
+  EXPECT_EQ(got_w.values, want);
+  EXPECT_EQ(got_c.report.iterations, got_w.report.iterations);
 }
 
 TEST(Wcc, SingletonVerticesKeepOwnLabel) {
   const graph::Graph g = graph::build_graph(4, {{0, 1}});
-  engine::NativeBackend backend;
-  auto opt = engine::PcpmOptions::hipa(2, 1, 16);
-  const auto labels = wcc(g, opt, backend);
+  const auto labels =
+      run_kernel_native<engine::WccKernel>(
+          Method::kHipa, graph::symmetrized(g), {},
+          {.threads = 2, .partition_bytes = 16})
+          .values;
   EXPECT_EQ(labels[2], 2u);
   EXPECT_EQ(labels[3], 3u);
   EXPECT_EQ(count_components(labels), 3u);

@@ -1,10 +1,12 @@
 // Tests for the kernel-generic run<K>() API (engines/kernels.hpp):
 // per-kernel oracle checks on three generator families, bitwise
-// identity between the PageRank-only facade and run<PageRankKernel>,
-// active-partition scatter skipping, phase-dispatch vs run_loop
-// equivalence, and the serving layer's kernel-routed refresh.
+// identity between the PageRank shorthand and run<PageRankKernel>,
+// tolerance early stop on every methodology, the native facade's NUMA
+// node count, active-partition scatter skipping, phase-dispatch vs
+// run_loop equivalence, and the serving layer's kernel-routed refresh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "algos/wcc.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "runtime/affinity.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/updates.hpp"
 #include "sim/machine.hpp"
@@ -83,25 +86,21 @@ TEST_P(KernelOracles, BfsMatchesReferenceSim) {
   const vid_t src = busiest_source(g);
   const BfsResult want = bfs_reference(g, src);
 
+  // 8 threads over the simulated machine's 2 NUMA nodes.
   sim::SimMachine machine = make_machine();
-  engine::SimBackend backend(machine);
-  const BfsResult got =
-      bfs(g, src, BfsOptions{.threads = 8, .num_nodes = 2,
-                             .partition_bytes = 2048},
-          backend);
-  ASSERT_EQ(got.distance.size(), want.distance.size());
-  EXPECT_EQ(got.distance, want.distance) << family_name(GetParam());
-  EXPECT_EQ(got.levels, want.levels);
-  EXPECT_EQ(got.reached, want.reached);
+  const auto got = run_kernel_sim<engine::BfsKernel>(
+      Method::kHipa, g, machine, {.source = src},
+      {.threads = 8, .partition_bytes = 2048});
+  EXPECT_EQ(got.values, want.distance) << family_name(GetParam());
 }
 
 TEST_P(KernelOracles, BfsMatchesReferenceNative) {
   const graph::Graph g = family_graph(GetParam(), 902);
   const vid_t src = busiest_source(g);
   const BfsResult want = bfs_reference(g, src);
-  engine::NativeBackend backend;
-  const BfsResult got = bfs(g, src, BfsOptions{.threads = 4}, backend);
-  EXPECT_EQ(got.distance, want.distance) << family_name(GetParam());
+  const auto got = run_kernel_native<engine::BfsKernel>(
+      Method::kHipa, g, {.source = src}, {.threads = 4});
+  EXPECT_EQ(got.values, want.distance) << family_name(GetParam());
 }
 
 // ---- WCC --------------------------------------------------------------------
@@ -111,21 +110,21 @@ TEST_P(KernelOracles, WccMatchesReferenceSim) {
   const std::vector<vid_t> want = wcc_reference(g);
 
   sim::SimMachine machine = make_machine();
-  engine::SimBackend backend(machine);
-  const auto opt = engine::PcpmOptions::hipa(8, 2, 2048);
-  unsigned rounds = 0;
-  const std::vector<vid_t> got = wcc(g, opt, backend, &rounds);
-  EXPECT_EQ(got, want) << family_name(GetParam());
-  EXPECT_GE(rounds, 1u);
-  EXPECT_EQ(count_components(got), count_components(want));
+  const auto got = run_kernel_sim<engine::WccKernel>(
+      Method::kHipa, graph::symmetrized(g), machine, {},
+      {.threads = 8, .partition_bytes = 2048});
+  EXPECT_EQ(got.values, want) << family_name(GetParam());
+  EXPECT_GE(got.report.iterations, 1u);
+  EXPECT_EQ(count_components(got.values), count_components(want));
 }
 
 TEST_P(KernelOracles, WccMatchesReferenceNative) {
   const graph::Graph g = family_graph(GetParam(), 904);
   const std::vector<vid_t> want = wcc_reference(g);
-  engine::NativeBackend backend;
-  const auto opt = engine::PcpmOptions::hipa(4, 1, 4096);
-  EXPECT_EQ(wcc(g, opt, backend), want) << family_name(GetParam());
+  const auto got = run_kernel_native<engine::WccKernel>(
+      Method::kHipa, graph::symmetrized(g), {},
+      {.threads = 4, .partition_bytes = 4096});
+  EXPECT_EQ(got.values, want) << family_name(GetParam());
 }
 
 // ---- SSSP -------------------------------------------------------------------
@@ -138,27 +137,26 @@ TEST_P(KernelOracles, SsspMatchesReferenceSim) {
   const vid_t src = busiest_source(g);
   const SsspResult want = sssp_reference(g, src);
 
+  // 8 threads over the simulated machine's 2 NUMA nodes.
   sim::SimMachine machine = make_machine();
-  engine::SimBackend backend(machine);
-  const SsspResult got =
-      sssp(g, src, SsspOptions{.threads = 8, .num_nodes = 2,
-                               .partition_bytes = 2048},
-           backend);
-  ASSERT_EQ(got.distance.size(), want.distance.size());
+  const auto got = run_kernel_sim<engine::SsspKernel>(
+      Method::kHipa, g, machine, {.source = src},
+      {.threads = 8, .partition_bytes = 2048});
+  ASSERT_EQ(got.values.size(), want.distance.size());
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(got.distance[v], want.distance[v])
+    EXPECT_EQ(got.values[v], want.distance[v])
         << family_name(GetParam()) << " vertex " << v;
   }
-  EXPECT_EQ(got.reached, want.reached);
 }
 
 TEST_P(KernelOracles, SsspMatchesReferenceNative) {
   const graph::Graph g = family_graph(GetParam(), 906);
   const vid_t src = busiest_source(g);
   const SsspResult want = sssp_reference(g, src);
-  engine::NativeBackend backend;
-  const SsspResult got = sssp(g, src, SsspOptions{.threads = 4}, backend);
-  EXPECT_EQ(0, std::memcmp(got.distance.data(), want.distance.data(),
+  const auto got = run_kernel_native<engine::SsspKernel>(
+      Method::kHipa, g, {.source = src}, {.threads = 4});
+  ASSERT_EQ(got.values.size(), want.distance.size());
+  EXPECT_EQ(0, std::memcmp(got.values.data(), want.distance.data(),
                            want.distance.size() * sizeof(float)))
       << family_name(GetParam());
 }
@@ -206,9 +204,9 @@ INSTANTIATE_TEST_SUITE_P(Families, KernelOracles,
 
 // ---- PageRank facade identity -----------------------------------------------
 
-// The PageRank-only facade (run(PageRankOptions) -> RunResult) and the
-// kernel-generic surface must produce bitwise-identical ranks on every
-// engine: same core, two entry points.
+// The PageRank shorthand (run(PageRankOptions) -> RunResult) and the
+// kernel-generic entry must produce bitwise-identical ranks on every
+// engine: the shorthand is one call into run<PageRankKernel>.
 TEST(FacadeIdentity, PcpmRunEqualsRunKernel) {
   const graph::Graph g = family_graph(Family::kZipf, 909);
   engine::PageRankOptions pr(6);
@@ -298,6 +296,66 @@ TEST(FacadeIdentity, RunMethodEqualsRunKernelAllMethods) {
                                via_method.ranks.size() * sizeof(rank_t)))
           << method_name(m) << " reorder=" << reorder_name(r);
     }
+  }
+}
+
+// The native facade builds HiPa over the host's NUMA nodes (clamped to
+// the thread count), so its ranks equal a directly built engine given
+// that node count.
+TEST(FacadeIdentity, NativeFacadeUsesHostNodeCount) {
+  const graph::Graph g = family_graph(Family::kRmat, 917);
+  MethodParams params;
+  params.threads = 4;
+  params.pr.iterations = 6;
+  const RunResult via_facade = run_method_native(Method::kHipa, g, params);
+
+  const unsigned nodes =
+      std::clamp(runtime::topology().num_nodes(), 1u, params.threads);
+  engine::NativeBackend backend;
+  engine::PcpmEngine<engine::NativeBackend> eng(
+      g,
+      engine::PcpmOptions::hipa(params.threads, nodes,
+                                default_partition_bytes(Method::kHipa, 1)),
+      backend);
+  const RunResult direct = eng.run(params.pr);
+  ASSERT_EQ(via_facade.ranks.size(), direct.ranks.size());
+  EXPECT_EQ(0, std::memcmp(via_facade.ranks.data(), direct.ranks.data(),
+                           direct.ranks.size() * sizeof(rank_t)));
+}
+
+// ---- tolerance early stop ---------------------------------------------------
+
+// Every methodology honours RunOptions::tolerance: the run stops below
+// its iteration cap once the L1 rank delta reaches the tolerance, and
+// the ranks are bitwise those of a fixed-iteration run of the same
+// length (tracking the delta never changes the update arithmetic).
+TEST(Convergence, EveryMethodStopsAtTolerance) {
+  graph::RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.seed = 918;
+  const graph::Graph g =
+      graph::build_graph(vid_t{1} << p.scale, graph::generate_rmat(p));
+  for (const Method m : all_methods()) {
+    MethodParams params;
+    params.threads = 2;
+    params.pr.iterations = 200;
+    params.pr.tolerance = 1e-6;
+    const RunResult stopped = run_method_native(m, g, params);
+    EXPECT_LT(stopped.report.iterations, params.pr.iterations)
+        << method_name(m);
+    EXPECT_GT(stopped.report.last_delta, 0.0) << method_name(m);
+    EXPECT_LE(stopped.report.last_delta, params.pr.tolerance)
+        << method_name(m);
+
+    params.pr.iterations = stopped.report.iterations;
+    params.pr.tolerance = 0.0;
+    const RunResult fixed = run_method_native(m, g, params);
+    EXPECT_EQ(fixed.report.iterations, stopped.report.iterations);
+    ASSERT_EQ(fixed.ranks.size(), stopped.ranks.size());
+    EXPECT_EQ(0, std::memcmp(fixed.ranks.data(), stopped.ranks.data(),
+                             fixed.ranks.size() * sizeof(rank_t)))
+        << method_name(m);
   }
 }
 
@@ -405,22 +463,7 @@ TEST(RunLoopEquivalence, AllKernelsBitwiseEqualAcrossDispatchModes) {
   }
 }
 
-// ---- runtime kernel dispatch (MethodParams::kernel) -------------------------
-
-TEST(AnyKernel, DispatchRunsEveryKernel) {
-  const graph::Graph g = family_graph(Family::kEr, 915);
-  MethodParams params;
-  params.pr.iterations = 4;
-  params.personalized.seeds = {3};
-  params.bfs.source = busiest_source(g);
-  params.sssp.source = params.bfs.source;
-  for (const Kernel k : all_kernels()) {
-    params.kernel = k;
-    const engine::RunReport report =
-        run_any_kernel_native(Method::kHipa, g, params);
-    EXPECT_GE(report.iterations, 1u) << kernel_name(k);
-  }
-}
+// ---- kernel names (MethodParams::kernel) ------------------------------------
 
 TEST(AnyKernel, NamesRoundTrip) {
   for (const Kernel k : all_kernels()) {

@@ -85,8 +85,8 @@ TEST(RunLoop, Thread0PublishesScalarsBetweenBarriers) {
   spec.persistent = true;
   backend.start_team(spec);
   // Thread 0 publishes a plain (non-atomic) value between barriers;
-  // every thread must observe it — the pattern run_pagerank uses for
-  // the convergence stop flag.
+  // every thread must observe it — the pattern PcpmEngine::run<K>
+  // uses for the convergence stop flag.
   std::uint64_t published = 0;
   std::atomic<bool> failed{false};
   backend.run_loop([&](unsigned t, engine::NoopMem&, engine::LoopCtl& ctl) {
