@@ -12,11 +12,8 @@
 // this machine with telemetry + hardware counters on, so the simulated
 // LLC behaviour can be checked against real LLC-load-miss rates from
 // perf_event. When the PMU is inaccessible (perf_event_paranoid,
-// containers) the hw columns print as unavailable and the JSON records
-// hw.available=false — the sweep itself still runs.
-//
-// Emits machine-readable JSON (default BENCH_table3.json, --out=)
-// validated by bench_schema_check.
+// containers) the hw columns print as unavailable — the sweep itself
+// still runs. --trace-out= writes the first native run's Chrome trace.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,10 +27,8 @@ using namespace hipa;
 
 /// One native run at a fixed partition size with hw counters on.
 struct NativePoint {
-  std::uint64_t partition_bytes = 0;
   double seconds = 0.0;
   runtime::RunTelemetry telemetry;
-  numa::PlacementAudit placement;
 };
 
 NativePoint run_native_point(const graph::Graph& g, algo::Method m,
@@ -46,13 +41,10 @@ NativePoint run_native_point(const graph::Graph& g, algo::Method m,
   params.pr.iterations = iters;
   params.pr.telemetry = runtime::Telemetry::kOn;
   params.pr.hw_counters = runtime::HwProf::kOn;
-  params.pr.audit_placement = true;
   params.pr.trace_path = trace;
-  p.partition_bytes = part_bytes;
   auto res = algo::run_method_native(m, g, params);
   p.seconds = res.report.seconds;
   p.telemetry = res.report.telemetry;
-  p.placement = res.report.placement_audit;
   return p;
 }
 
@@ -74,8 +66,6 @@ int main(int argc, char** argv) {
   const bench::Flags flags = bench::Flags::parse(argc, argv);
   const unsigned iters =
       flags.iterations != 0 ? flags.iterations : (flags.quick ? 2 : 3);
-  const std::string out_path =
-      flags.out.empty() ? "BENCH_table3.json" : flags.out;
 
   bench::print_banner("Table 3: partition size x micro-architecture",
                       "paper Table 3");
@@ -100,28 +90,6 @@ int main(int argc, char** argv) {
   const std::vector<algo::Method> methods = flags.methods_or(
       {algo::Method::kHipa, algo::Method::kPpr, algo::Method::kGpop});
 
-  std::FILE* jf = std::fopen(out_path.c_str(), "w");
-  if (jf == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
-    return 1;
-  }
-  bench::JsonWriter jw(jf);
-  jw.begin_object();
-  jw.kv("bench", "table3_microarch");
-  jw.kv("iterations", iters);
-  jw.kv("quick", flags.quick);
-  jw.key("host");
-  jw.begin_object();
-  jw.kv("cpus", runtime::topology().num_cpus());
-  jw.kv("numa_nodes", runtime::topology().num_nodes());
-  jw.end_object();
-  jw.key("datasets");
-  jw.begin_array();
-  for (const std::string& n : names) jw.value(n);
-  jw.end_array();
-
-  jw.key("arches");
-  jw.begin_array();
   for (const Arch& arch : arches) {
     std::printf("\n--- %s (L2=%lluK, LLC %s) — simulated ---\n", arch.name,
                 static_cast<unsigned long long>(arch.topo.l2.size_bytes >>
@@ -133,15 +101,6 @@ int main(int argc, char** argv) {
     }
     std::printf("   (normalized by %lluK)\n",
                 static_cast<unsigned long long>(arch.norm_size >> 10));
-
-    jw.begin_object();
-    jw.kv("arch", arch.name);
-    jw.kv("l2_kb",
-          static_cast<std::uint64_t>(arch.topo.l2.size_bytes >> 10));
-    jw.kv("inclusive_llc", arch.topo.inclusive_llc);
-    jw.kv("norm_kb", static_cast<std::uint64_t>(arch.norm_size >> 10));
-    jw.key("methods");
-    jw.begin_array();
 
     double col_sum[4] = {};
     for (algo::Method m : methods) {
@@ -170,40 +129,20 @@ int main(int argc, char** argv) {
         }
       }
       std::printf("%8s |", algo::method_name(m));
-      jw.begin_object();
-      jw.kv("method", algo::method_name(m));
-      jw.key("normalized");
-      jw.begin_array();
       for (std::size_t si = 0; si < sizes_eq.size(); ++si) {
         avg[si] /= static_cast<double>(names.size());
         col_sum[si] += avg[si];
         std::printf(" %6.2f ", avg[si]);
-        jw.begin_object();
-        jw.kv("kb", static_cast<std::uint64_t>(sizes_eq[si] >> 10));
-        jw.kv("value", avg[si]);
-        jw.end_object();
       }
-      jw.end_array();
-      jw.end_object();
       std::printf("\n");
     }
-    jw.end_array();
     std::printf("%8s |", "average");
-    jw.key("average");
-    jw.begin_array();
     for (std::size_t si = 0; si < sizes_eq.size(); ++si) {
       const double a = col_sum[si] / static_cast<double>(methods.size());
       std::printf(" %6.2f ", a);
-      jw.begin_object();
-      jw.kv("kb", static_cast<std::uint64_t>(sizes_eq[si] >> 10));
-      jw.kv("value", a);
-      jw.end_object();
     }
-    jw.end_array();
-    jw.end_object();
     std::printf("\n");
   }
-  jw.end_array();
 
   // ---- native side-by-side: same grid, real PMU counters ------------
   // One dataset keeps the native sweep proportionate; sim arch tables
@@ -225,12 +164,6 @@ int main(int argc, char** argv) {
     std::printf("   (normalized by %lluK; LLC-miss%% underneath)\n",
                 static_cast<unsigned long long>(norm_size >> 10));
 
-    jw.key("native_hw");
-    jw.begin_object();
-    jw.kv("dataset", name);
-    jw.kv("iterations", iters);
-    jw.key("methods");
-    jw.begin_array();
     bool trace_written = false;
     bool hw_seen = false;
     for (algo::Method m : methods) {
@@ -264,29 +197,7 @@ int main(int argc, char** argv) {
         }
         std::printf("\n");
       }
-
-      jw.begin_object();
-      jw.kv("method", algo::method_name(m));
-      jw.key("sizes");
-      jw.begin_array();
-      for (std::size_t si = 0; si < sizes_eq.size(); ++si) {
-        const NativePoint& p = points[si];
-        jw.begin_object();
-        jw.kv("kb", static_cast<std::uint64_t>(sizes_eq[si] >> 10));
-        jw.kv("partition_bytes", p.partition_bytes);
-        jw.kv("native_seconds", p.seconds);
-        jw.kv("normalized",
-              norm_sec > 0.0 ? p.seconds / norm_sec : 0.0);
-        jw.kv("llc_miss_pct", llc_miss_pct(p.telemetry));
-        bench::emit_telemetry(jw, p.telemetry);
-        bench::emit_placement_audit(jw, p.placement);
-        jw.end_object();
-      }
-      jw.end_array();
-      jw.end_object();
     }
-    jw.end_array();
-    jw.end_object();
     if (!hw_seen) {
       std::printf("%8s | PMU unavailable on this host "
                   "(perf_event_paranoid / container policy)\n",
@@ -294,12 +205,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  jw.end_object();
-  std::fputc('\n', jf);
-  std::fclose(jf);
-
   std::printf("\npaper Table 3 (averages): Haswell 1.08 0.99 1.00 1.27 | "
               "Skylake 1.09 1.00 1.08 1.22\n");
-  std::printf("JSON written to %s\n", out_path.c_str());
   return 0;
 }

@@ -1,7 +1,7 @@
-// Minimal dependency-free JSON reader shared by the bench schema
-// checker, the perf-regression gate, and the trace-output tests.
-// Extracted from bench_schema_check so every consumer parses the
-// machine-readable artifacts with the same grammar.
+// Minimal dependency-free JSON reader shared by the metrics scrape
+// client (shard/poll_client.hpp, hipa-top) and the trace- and
+// metrics-output tests, so every consumer parses the machine-readable
+// artifacts with the same grammar.
 //
 // Deliberately small: parses the JSON our own writers emit (objects,
 // arrays, strings with the common escapes, numbers, bools, null).

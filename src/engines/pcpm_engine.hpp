@@ -60,7 +60,8 @@ struct PcpmOptions {
   /// iteration. Only takes effect on backends that support it AND with
   /// persistent pinned-partition teams (the HiPa configuration);
   /// p-PR/GPOP keep the per-phase Algorithm 1 path. Off exists for A/B
-  /// measurement (bench_hotpath) and the bitwise-equivalence tests.
+  /// measurement and the phase-vs-run_loop bitwise-equivalence tests
+  /// (test_runloop, test_kernels).
   bool single_dispatch = true;
   /// Edge-balanced (paper Eq. 2) vs even-vertex partitioning (§3.1's
   /// rejected strawman, kept for the balance ablation).

@@ -47,7 +47,8 @@
 namespace hipa::runtime::metrics {
 
 // ---------------------------------------------------------------------------
-// Bucket scheme (exposed for tests and the accuracy gate in bench_serve).
+// Bucket scheme (exposed for tests; MetricsHistogram.* gates quantile
+// accuracy against it).
 
 inline constexpr unsigned kSubBits = 4;
 inline constexpr unsigned kSubBuckets = 1u << kSubBits;  // 16

@@ -16,7 +16,8 @@
 // behind `if constexpr`. With telemetry off the instrumentation
 // compiles to literally nothing — the hot loops are token-for-token
 // the untelemetered code, which is why kOff ranks are bitwise
-// identical and bench_hotpath's overhead section can bound the cost.
+// identical (Telemetry.OffAndOnRanksBitwiseIdentical*) and perfbench
+// can measure the kOn cost.
 //
 // Recording is per-thread into cache-line-padded rows (no sharing, no
 // atomics on the hot path); aggregation into the `RunReport` surface

@@ -1,5 +1,5 @@
 // Query vocabulary of the serving layer, snapshot-local evaluators,
-// and the latency recorder behind the service's percentile stats.
+// and the latency summary the service's stats report.
 //
 // Three request kinds cover the ROADMAP's read traffic:
 //
@@ -105,11 +105,8 @@ void batch_lookup(const Snapshot& snap, std::span<const vid_t> vertices,
 [[nodiscard]] QueryResult evaluate(const Snapshot& snap, const Query& q,
                                    unsigned node = 0);
 
-// ---------------------------------------------------------------------------
-// Latency recording
-// ---------------------------------------------------------------------------
-
-/// Percentile summary of recorded request latencies.
+/// Percentile summary of recorded request latencies (estimates from a
+/// log-linear histogram: within one bucket width, 1/16 relative).
 struct LatencySummary {
   std::uint64_t count = 0;
   double mean_seconds = 0.0;
@@ -118,27 +115,6 @@ struct LatencySummary {
   double p99_seconds = 0.0;
   double p999_seconds = 0.0;
   double max_seconds = 0.0;
-};
-
-/// Append-only latency sample sink. Not thread-safe by itself — the
-/// service serializes recording under its stats mutex; benches own one
-/// recorder per load-generator thread and merge.
-class LatencyRecorder {
- public:
-  void reserve(std::size_t n) { samples_.reserve(n); }
-  void record(double seconds) { samples_.push_back(seconds); }
-  void merge(const LatencyRecorder& o) {
-    samples_.insert(samples_.end(), o.samples_.begin(), o.samples_.end());
-  }
-  [[nodiscard]] std::uint64_t count() const { return samples_.size(); }
-  [[nodiscard]] std::span<const double> samples() const { return samples_; }
-
-  /// Sort-and-scan summary (nearest-rank percentiles). O(n log n);
-  /// called off the request path.
-  [[nodiscard]] LatencySummary summarize() const;
-
- private:
-  std::vector<double> samples_;
 };
 
 }  // namespace hipa::serve

@@ -42,7 +42,7 @@ RankService::RankService(const SnapshotStore& store, ServiceOptions opt)
   HIPA_CHECK(nodes >= 1, "store has no nodes");
   timeline_.reset(nodes);
   if (!opt_.trace_path.empty()) timeline_.enable_spans();
-  latency_.reserve(opt_.latency_reserve);
+  latency_ns_ = latency_registry_.histogram("latency", "per-request wall");
 
   namespace m = runtime::metrics;
   m::MetricsRegistry* reg = nullptr;
@@ -300,17 +300,20 @@ std::vector<QueryResult> RankService::execute_batch(
   // ---- Record stats + per-request latency --------------------------
   const double wall = batch_timer.seconds();
 
-  // Lifetime metrics first, outside the stats mutex: each record is a
-  // few relaxed atomic adds, so caller threads never serialize here.
+  // Histograms and lifetime metrics first, outside the stats mutex:
+  // each record is a few relaxed atomic adds, so caller threads never
+  // serialize here. Every request in the batch observed the batch's
+  // wall time.
   {
     const std::uint64_t wall_ns = runtime::metrics::seconds_to_ns(wall);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      latency_ns_.record(wall_ns);
+    }
     std::array<std::uint64_t, 3> by_class{};
     for (const Query& q : queries) ++by_class[static_cast<unsigned>(q.kind)];
     for (unsigned c = 0; c < 3; ++c) {
       if (by_class[c] == 0) continue;
       metrics_.requests[c].inc(by_class[c]);
-      // Every request in the batch observed the batch's wall time
-      // (mirrors the LatencyRecorder accounting below).
       for (std::uint64_t i = 0; i < by_class[c]; ++i) {
         metrics_.latency[c].record(wall_ns);
       }
@@ -342,21 +345,26 @@ std::vector<QueryResult> RankService::execute_batch(
     ++stats_.batches;
     stats_.shards_dispatched += dispatched.size();
     stats_.vertices_looked_up += vertices_looked_up;
-    // Every request in the batch observed the batch's wall time.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      latency_.record(wall);
-    }
     // Iteration track: one sample per batch → a request-latency
-    // counter lane in the Chrome trace.
-    timeline_.record_iteration(wall);
+    // counter lane in the Chrome trace, its only reader.
+    if (timeline_.spans_enabled()) timeline_.record_iteration(wall);
   }
   return results;
 }
 
 RankService::Stats RankService::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  Stats out = stats_;
-  out.latency = latency_.summarize();
+  Stats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    out = stats_;
+  }
+  const runtime::metrics::MetricsSnapshot snap = latency_registry_.snapshot();
+  const runtime::metrics::HistogramSnapshot& h =
+      *snap.find_histogram("latency");
+  constexpr double kNs = 1e-9;
+  out.latency = LatencySummary{h.count,     h.mean() * kNs, h.p50 * kNs,
+                               h.p95 * kNs, h.p99 * kNs,    h.p999 * kNs,
+                               h.max * kNs};
   return out;
 }
 

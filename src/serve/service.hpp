@@ -27,14 +27,14 @@
 //     queue is cold — the work is the shard body); a per-batch latch
 //     releases the caller when every shard finished.
 //
-// Telemetry: the service owns a runtime::PhaseTimeline with one row
-// per worker. Shard executions are recorded as spans (phase = kGather,
-// the read side of the shared vocabulary) when a trace path is
-// configured, and per-request latencies feed both the LatencyRecorder
-// (percentile stats) and the timeline's iteration track, so a
-// configured trace_path yields a chrome://tracing view of worker
-// activity with a request-latency counter track — the same pipeline
-// the engines use.
+// Telemetry: per-request latencies feed a service-owned log-linear
+// histogram (Stats::latency; bounded memory however long the service
+// runs). The service also owns a runtime::PhaseTimeline with one row
+// per worker: when a trace path is configured, shard executions are
+// recorded as spans (phase = kGather, the read side of the shared
+// vocabulary) and each batch's wall time as an iteration sample, so
+// the trace is a chrome://tracing view of worker activity with a
+// request-latency counter track — the same pipeline the engines use.
 #pragma once
 
 #include <array>
@@ -65,8 +65,6 @@ struct ServiceOptions {
   /// When non-empty, collect worker spans and write a Chrome trace
   /// here at stop()/destruction.
   std::string trace_path;
-  /// Pre-reserved latency samples (grows beyond as needed).
-  std::size_t latency_reserve = 1 << 16;
   /// Lifetime metrics (per-class latency histograms, batch sizes,
   /// queue depth, epoch lag). false = no-op handles, behavior
   /// byte-identical.
@@ -111,7 +109,8 @@ class RankService {
     std::uint64_t batches = 0;           ///< execute_batch calls
     std::uint64_t shards_dispatched = 0; ///< per-node tasks enqueued
     std::uint64_t vertices_looked_up = 0;
-    LatencySummary latency;              ///< per-request wall seconds
+    LatencySummary latency;              ///< per-request wall seconds,
+                                         ///< whether metrics is on or off
   };
   [[nodiscard]] Stats stats() const;
 
@@ -200,10 +199,14 @@ class RankService {
   Instruments metrics_;
   std::unique_ptr<MetricsHttpServer> metrics_server_;
 
+  /// Per-request latency in ns behind Stats::latency: a private
+  /// registry so it records whatever ServiceOptions::metrics says.
+  runtime::metrics::MetricsRegistry latency_registry_;
+  runtime::metrics::Histogram latency_ns_;
+
   // Stats + caller-side telemetry, shared by caller threads.
   mutable std::mutex stats_mutex_;
   Stats stats_;                       ///< latency summarized on read
-  LatencyRecorder latency_;           ///< under stats_mutex_
   runtime::PhaseTimeline timeline_;   ///< rows owned by workers; the
                                       ///< iteration track under
                                       ///< stats_mutex_

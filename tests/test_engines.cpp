@@ -234,24 +234,23 @@ TEST(DstEncoding, AutoFallsBackToWideWhenPartitionTooLarge) {
 TEST(DstEncoding, NativeBackendBitwiseMatchToo) {
   const graph::Graph g = test_graph(405, 1500, 12000);
   engine::PageRankOptions pr{8, 0.85f};
-  std::vector<rank_t> c, w;
-  {
-    engine::NativeBackend backend;
-    auto opt = engine::PcpmOptions::hipa(4, 1, 1024);
-    opt.dst_encoding = pcp::DstEncoding::kCompact;
-    engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
-    EXPECT_TRUE(eng.bins().compact());
-    c = eng.run(pr).ranks;
+  // Both gather-streaming methodologies, automatic choice vs forced wide.
+  for (const bool ppr : {false, true}) {
+    SCOPED_TRACE(ppr ? "p-PR" : "HiPa");
+    std::vector<rank_t> c, w;
+    for (const pcp::DstEncoding enc :
+         {pcp::DstEncoding::kAuto, pcp::DstEncoding::kWide}) {
+      engine::NativeBackend backend;
+      auto opt = ppr ? engine::PcpmOptions::ppr(4, 1, 1024)
+                     : engine::PcpmOptions::hipa(4, 1, 1024);
+      opt.dst_encoding = enc;
+      engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
+      const bool wide = enc == pcp::DstEncoding::kWide;
+      EXPECT_EQ(eng.bins().compact(), !wide);
+      (wide ? w : c) = eng.run(pr).ranks;
+    }
+    expect_bitwise_equal(c, w, "native compact-vs-wide");
   }
-  {
-    engine::NativeBackend backend;
-    auto opt = engine::PcpmOptions::hipa(4, 1, 1024);
-    opt.dst_encoding = pcp::DstEncoding::kWide;
-    engine::PcpmEngine<engine::NativeBackend> eng(g, opt, backend);
-    EXPECT_FALSE(eng.bins().compact());
-    w = eng.run(pr).ranks;
-  }
-  expect_bitwise_equal(c, w, "native compact-vs-wide");
 }
 
 // ---- the paper's NUMA claims ------------------------------------------------

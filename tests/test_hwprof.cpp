@@ -452,6 +452,13 @@ TEST(PlacementAudit, NativeHipaAttributesLandOnOwningNode) {
   const numa::PlacementAudit& pa = res.report.placement_audit;
   ASSERT_TRUE(pa.available);
   ASSERT_FALSE(pa.buffers.empty());
+  EXPECT_TRUE(pa.source == "move_pages" || pa.source == "numa_maps")
+      << pa.source;
+  for (const numa::BufferAudit& b : pa.buffers) {
+    EXPECT_LE(b.pages_on_node + b.pages_elsewhere + b.pages_unmapped,
+              b.pages_total)
+        << b.name;
+  }
   if (!pa.page_granular) {
     GTEST_SKIP() << "only VMA-proportional numa_maps data (source "
                  << pa.source << "); strict bound needs move_pages";

@@ -210,6 +210,8 @@ INSTANTIATE_TEST_SUITE_P(Families, KernelOracles,
 TEST(FacadeIdentity, PcpmRunEqualsRunKernel) {
   const graph::Graph g = family_graph(Family::kZipf, 909);
   engine::PageRankOptions pr(6);
+  // Telemetry on, so the work counters are compared too.
+  pr.telemetry = runtime::Telemetry::kOn;
   engine::PrOptions ko;
   ko.damping = pr.damping;
 
@@ -228,6 +230,14 @@ TEST(FacadeIdentity, PcpmRunEqualsRunKernel) {
   ASSERT_EQ(old_result.ranks.size(), new_result.values.size());
   EXPECT_EQ(0, std::memcmp(old_result.ranks.data(), new_result.values.data(),
                            old_result.ranks.size() * sizeof(rank_t)));
+  const engine::RunReport& a = old_result.report;
+  const engine::RunReport& b = new_result.report;
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_GT(a.telemetry.total_messages_produced(), 0u);
+  EXPECT_EQ(a.telemetry.total_messages_produced(),
+            b.telemetry.total_messages_produced());
+  EXPECT_EQ(a.telemetry.total_messages_consumed(),
+            b.telemetry.total_messages_consumed());
 }
 
 TEST(FacadeIdentity, VprRunEqualsRunKernel) {

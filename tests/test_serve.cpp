@@ -289,18 +289,6 @@ TEST_F(ServiceTest, ThrowsBeforeFirstPublish) {
   EXPECT_THROW(service.execute(Query::point(0)), Error);
 }
 
-TEST(Latency, PercentileSummary) {
-  LatencyRecorder rec;
-  for (int i = 100; i >= 1; --i) rec.record(i * 1e-3);
-  const LatencySummary s = rec.summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.p50_seconds, 0.050);
-  EXPECT_DOUBLE_EQ(s.p95_seconds, 0.095);
-  EXPECT_DOUBLE_EQ(s.p99_seconds, 0.099);
-  EXPECT_DOUBLE_EQ(s.max_seconds, 0.100);
-  EXPECT_NEAR(s.mean_seconds, 0.0505, 1e-9);
-}
-
 // ---------------------------------------------------------------------------
 // Update queue + refresher
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // epoch consistency under concurrent republish: racing router queries
 // against shard republishes must never merge a torn answer (every
 // per-shard contribution uniform in one epoch, the mixed-epoch flag
-// exactly when shards answered from different epochs).
+// exactly when shards answered from different epochs) — and failover
+// with real shard processes: SIGKILL one mid-load, zero wrong answers.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,12 +16,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "engines/backend.hpp"
 #include "engines/oocore_engine.hpp"
 #include "graph/builder.hpp"
@@ -32,6 +38,7 @@
 #include "serve/snapshot.hpp"
 #include "shard/proto.hpp"
 #include "shard/router.hpp"
+#include "shard/shard_process.hpp"
 #include "shard/shard_server.hpp"
 #include "shard/transport.hpp"
 
@@ -663,6 +670,109 @@ TEST(ShardRouterRace, EpochConsistentUnderConcurrentRepublish) {
   EXPECT_GT(stats.requests, 0u);
   EXPECT_GT(stats.republish_notices, 0u);
   router.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Failover with real shard processes
+// ---------------------------------------------------------------------------
+
+/// `hipa-shardctl --serve` children over an even split of [0, n),
+/// killed and reaped however the test exits.
+struct ProcessFleet {
+  std::vector<ShardProcess> children;
+  ~ProcessFleet() {
+    for (ShardProcess& c : children) kill_shard_process(c);
+  }
+};
+
+// Mid-load, one shard process is SIGKILLed. The router must detect it,
+// settle the dead shard's top-k contribution from its last good partial
+// and keep answering; point queries are steered to live ranges (a
+// dead-range lookup is a documented timeout error, never a wrong
+// answer). Every answer is checked against the serial engine's ranks.
+TEST(ShardFailover, SigkillMidLoadZeroWrongAnswers) {
+  const vid_t n = 4000;
+  const std::string path = make_graph_file("failover.hcsr", n, 32000, 21);
+  constexpr unsigned kIters = 6;
+  constexpr unsigned kShards = 4;
+  constexpr unsigned kVictim = 1;
+  const std::vector<rank_t> reference = reference_ranks(path, kIters);
+
+  ProcessFleet fleet;
+  std::vector<ShardTarget> targets;
+  for (unsigned s = 0; s < kShards; ++s) {
+    fleet.children.push_back(spawn_shard_process(
+        HIPA_SHARDCTL_PATH, path, s,
+        VertexRange{n * s / kShards, n * (s + 1) / kShards},
+        /*threads=*/1, kIters));
+    const ShardProcess& c = fleet.children.back();
+    targets.push_back(tcp_target("127.0.0.1", c.port, c.metrics_port));
+  }
+  RouterOptions ropt;
+  ropt.health_poll_seconds = 0.05;
+  ropt.query_timeout_seconds = 5.0;
+  ShardRouter router(std::move(targets), ropt);
+  const VertexRange dead = fleet.children[kVictim].range;
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> killed{false};
+  std::atomic<std::uint64_t> answered{0};  // after the kill
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> load;
+  for (unsigned c = 0; c < 2; ++c) {
+    load.emplace_back([&, c] {
+      std::mt19937 rng(9000u + c);
+      std::uniform_int_distribution<vid_t> pick(0, n - 1);
+      while (!stop.load(std::memory_order_acquire)) {
+        vid_t v = pick(rng);
+        while (dead.contains(v)) v = pick(rng);
+        const std::vector<serve::Query> qs = {serve::Query::point(v),
+                                              serve::Query::top_k(10)};
+        const RouterReply reply = router.execute_batch(qs);
+        for (std::size_t i = 0; i < reply.results.size(); ++i) {
+          const RouterResult& r = reply.results[i];
+          if (!r.ok) continue;
+          if (killed.load(std::memory_order_acquire)) {
+            answered.fetch_add(1, std::memory_order_relaxed);
+          }
+          bool good = true;
+          if (i == 0) {
+            good = r.result.ranks.size() == 1 &&
+                   r.result.ranks[0] == reference[v];
+          } else {
+            good = r.result.topk.size() == 10;
+            for (const serve::TopKEntry& e : r.result.topk) {
+              good = good && e.vertex < n && e.rank == reference[e.vertex];
+            }
+          }
+          if (!good) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  // Warm up: one fresh global top-k leaves the router holding a
+  // partial from every shard, the victim included.
+  const RouterResult warm = router.execute(serve::Query::top_k(10));
+  EXPECT_TRUE(warm.ok && !warm.stale) << warm.error;
+  kill_shard_process(fleet.children[kVictim]);
+  killed.store(true, std::memory_order_release);
+
+  // First rerouted answer, within a 30 s cap.
+  Timer reroute;
+  bool rerouted = false;
+  while (!rerouted && reroute.seconds() < 30.0) {
+    rerouted = router.execute(serve::Query::top_k(10)).ok;
+  }
+  EXPECT_TRUE(rerouted) << "no answer within 30 s of the kill";
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : load) t.join();
+  router.stop();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_GT(answered.load(), 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

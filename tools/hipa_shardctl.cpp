@@ -1,9 +1,9 @@
 // hipa-shardctl: spawn and drive a local shard fleet.
 //
-// Launcher mode (default) forks N shard processes — each one this
-// same binary re-exec'd in --serve mode — over even vertex ranges of
-// a segmented HCSR v3 graph, connects a ShardRouter to the fleet, and
-// drops into a REPL:
+// Launcher mode (default) spawns N shard processes — each one this
+// same binary exec'd in --serve mode (shard/shard_process) — over even
+// vertex ranges of a segmented HCSR v3 graph, connects a ShardRouter
+// to the fleet, and drops into a REPL:
 //
 //   hipa-shardctl --graph=web.hcsr --shards=4
 //   hipa-shardctl --demo                  # synthesizes a small graph
@@ -23,14 +23,11 @@
 // Every child binds 127.0.0.1 and dies with the controlling terminal
 // (SIGKILL on quit): this tool is a harness for local experiments and
 // the failover demo, not a daemon manager.
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,6 +39,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "shard/router.hpp"
+#include "shard/shard_process.hpp"
 #include "shard/shard_server.hpp"
 #include "shard/transport.hpp"
 
@@ -91,71 +89,7 @@ int run_serve(const ServeArgs& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Launcher: fork/exec children, drive a router.
-
-struct Child {
-  pid_t pid = -1;
-  int port = -1;
-  int metrics_port = -1;
-  VertexRange range{};
-};
-
-/// fork + exec ourselves in --serve mode; blocks until the child
-/// reports its ports. `self` is argv[0] of the launcher.
-Child spawn_shard(const std::string& self, const std::string& graph,
-                  std::size_t shard, VertexRange range, unsigned threads,
-                  unsigned iters) {
-  int notify[2];
-  HIPA_CHECK(::pipe(notify) == 0, "pipe failed: " << std::strerror(errno));
-  const pid_t pid = ::fork();
-  HIPA_CHECK(pid >= 0, "fork failed: " << std::strerror(errno));
-  if (pid == 0) {
-    // Child: exec immediately (the parent is multithreaded once the
-    // router exists, so nothing but exec is safe after fork).
-    ::close(notify[0]);
-    char shard_flag[48], range_flag[48], fd_flag[32], threads_flag[32],
-        iters_flag[32];
-    std::snprintf(shard_flag, sizeof shard_flag, "--shard-id=%zu", shard);
-    std::snprintf(range_flag, sizeof range_flag, "--range=%u:%u",
-                  range.begin, range.end);
-    std::snprintf(fd_flag, sizeof fd_flag, "--notify-fd=%d", notify[1]);
-    std::snprintf(threads_flag, sizeof threads_flag, "--threads=%u",
-                  threads);
-    std::snprintf(iters_flag, sizeof iters_flag, "--iters=%u", iters);
-    const std::string graph_flag = "--graph=" + graph;
-    const char* argv[] = {self.c_str(),       "--serve",
-                          graph_flag.c_str(), shard_flag,
-                          range_flag,         fd_flag,
-                          threads_flag,       iters_flag,
-                          nullptr};
-    ::execv(self.c_str(), const_cast<char* const*>(argv));
-    std::perror("hipa-shardctl: execv");
-    ::_exit(127);
-  }
-  ::close(notify[1]);
-  std::string line;
-  char c;
-  while (::read(notify[0], &c, 1) == 1 && c != '\n') line.push_back(c);
-  ::close(notify[0]);
-  Child child;
-  child.pid = pid;
-  child.range = range;
-  if (std::sscanf(line.c_str(), "%d %d", &child.port,
-                  &child.metrics_port) != 2) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    HIPA_CHECK(false, "shard " << shard << " failed to start (no port "
-                               << "report; see its stderr above)");
-  }
-  return child;
-}
-
-void reap(Child& c) {
-  if (c.pid <= 0) return;
-  ::kill(c.pid, SIGKILL);
-  ::waitpid(c.pid, nullptr, 0);
-  c.pid = -1;
-}
+// Launcher: spawn children, drive a router.
 
 const char* health_name(hipa::shard::ShardHealth h) {
   switch (h) {
@@ -194,16 +128,16 @@ int run_launcher(const std::string& self, const std::string& graph,
 
   std::fprintf(stderr, "spawning %zu shards over %u vertices of %s\n",
                shards, num_vertices, graph.c_str());
-  std::vector<Child> children;
+  std::vector<hipa::shard::ShardProcess> children;
   std::vector<hipa::shard::ShardTarget> targets;
   for (std::size_t s = 0; s < shards; ++s) {
     const vid_t begin =
         static_cast<vid_t>(num_vertices * s / shards);
     const vid_t end =
         static_cast<vid_t>(num_vertices * (s + 1) / shards);
-    children.push_back(
-        spawn_shard(self, graph, s, VertexRange{begin, end}, threads,
-                    iters));
+    children.push_back(hipa::shard::spawn_shard_process(
+        self, graph, static_cast<std::uint32_t>(s), VertexRange{begin, end},
+        threads, iters));
     targets.push_back(hipa::shard::tcp_target(
         "127.0.0.1", children.back().port, children.back().metrics_port));
   }
@@ -261,11 +195,12 @@ int run_launcher(const std::string& self, const std::string& graph,
                     children.size());
         continue;
       }
-      reap(children[s]);
+      hipa::shard::kill_shard_process(children[s]);
       std::printf("  shard %zu killed\n", s);
       if (cmd == "restart") {
-        children[s] = spawn_shard(self, graph, s, children[s].range,
-                                  threads, iters);
+        children[s] = hipa::shard::spawn_shard_process(
+            self, graph, static_cast<std::uint32_t>(s), children[s].range,
+            threads, iters);
         router.update_target(
             s, hipa::shard::tcp_target("127.0.0.1", children[s].port,
                                        children[s].metrics_port));
@@ -278,7 +213,9 @@ int run_launcher(const std::string& self, const std::string& graph,
   }
 
   router.stop();
-  for (Child& c : children) reap(c);
+  for (hipa::shard::ShardProcess& c : children) {
+    hipa::shard::kill_shard_process(c);
+  }
   return 0;
 }
 
