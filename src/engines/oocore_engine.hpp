@@ -116,17 +116,18 @@ class OocoreEngine {
       staging_[1] = backend.template alloc_pages<unsigned char>(slot);
       stats_.peak_resident_bytes = resident;
     } else {
+      // Payloads start eid_t-aligned, so view()'s offsets are aligned.
       incore_ = backend.template alloc_pages<unsigned char>(
-          scsr_.total_payload_bytes());
+          scsr_.total_payload_bytes() + stats_.segments * sizeof(vid_t));
       incore_offsets_.reserve(stats_.segments);
       std::size_t pos = 0;
       for (unsigned s = 0; s < stats_.segments; ++s) {
         incore_offsets_.push_back(pos);
         scsr_.read_segment(s, incore_.data() + pos);
         ++stats_.segment_fetches;
-        pos += scsr_.segment(s).payload_bytes;
+        pos = round_up(pos + scsr_.segment(s).payload_bytes, sizeof(eid_t));
       }
-      stats_.peak_resident_bytes = pos;
+      stats_.peak_resident_bytes = scsr_.total_payload_bytes();
     }
 
     vertex_chunks_ = even_chunks<vid_t>(n, opt.num_threads);

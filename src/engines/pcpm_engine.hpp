@@ -71,11 +71,6 @@ struct PcpmOptions {
   /// stream traffic) and falls back to 32-bit otherwise; benches force
   /// kWide to measure the compaction delta.
   pcp::DstEncoding dst_encoding = pcp::DstEncoding::kAuto;
-  /// Cycles one FCFS claim costs per contending thread.
-  std::uint32_t fcfs_claim_cycles = 150;
-  /// Extra framework cycles per message / per partition (GPOP).
-  std::uint32_t framework_cycles_per_msg = 3;
-  std::uint32_t framework_bytes_per_part = 64;
 
   /// The paper's named configurations.
   static PcpmOptions hipa(unsigned threads = 40, unsigned nodes = 2,
@@ -129,7 +124,7 @@ class PcpmEngine {
     slot<PageRankKernel>().prep_seconds = 0.0;
     if (opt_.framework_overhead) {
       const std::size_t words_per_part =
-          opt_.framework_bytes_per_part / sizeof(std::uint64_t);
+          kFrameworkBytesPerPart / sizeof(std::uint64_t);
       framework_state_ = backend_->template alloc_pages<std::uint64_t>(
           std::size_t{plan_.parts.num_partitions()} * words_per_part);
       framework_state_.fill_zero();
@@ -160,6 +155,12 @@ class PcpmEngine {
   }
 
  private:
+  /// Cycles one FCFS claim costs per contending thread.
+  static constexpr std::uint32_t kFcfsClaimCycles = 150;
+  /// GPOP's extra framework cycles per message / bytes per partition.
+  static constexpr std::uint32_t kFrameworkCyclesPerMsg = 3;
+  static constexpr std::uint32_t kFrameworkBytesPerPart = 64;
+
   /// Per-kernel engine-side state: the kernel's vertex attributes, its
   /// typed message inbox (NUMA-placed like the PageRank values array)
   /// and, for frontier kernels, the double-buffered per-partition
@@ -659,7 +660,7 @@ class PcpmEngine {
     const unsigned threads = opt_.num_threads;
     const auto& mine = fcfs_slots_[(t + phase_salt_) % threads];
     for (std::uint32_t p : mine) {
-      mem.work(std::uint64_t{opt_.fcfs_claim_cycles} * threads);
+      mem.work(std::uint64_t{kFcfsClaimCycles} * threads);
       body(p);
     }
   }
@@ -774,7 +775,7 @@ class PcpmEngine {
         for (; i < cnt; ++i) out[i] = K::scatter(sc, mem, src[i]);
         mem.work(2 * pr.msg_count);
         if (opt_.framework_overhead) {
-          mem.work(std::uint64_t{opt_.framework_cycles_per_msg} *
+          mem.work(std::uint64_t{kFrameworkCyclesPerMsg} *
                    pr.msg_count);
         }
       }
@@ -884,7 +885,7 @@ class PcpmEngine {
         }
         mem.work(2 * pr.dst_count + pr.msg_count);
         if (opt_.framework_overhead) {
-          mem.work(std::uint64_t{opt_.framework_cycles_per_msg} *
+          mem.work(std::uint64_t{kFrameworkCyclesPerMsg} *
                    pr.msg_count);
         }
       }
@@ -940,7 +941,7 @@ class PcpmEngine {
   /// sizes): an extra streamed structure per partition per phase.
   void framework_touch(std::uint32_t p, Mem& mem) {
     const std::size_t words =
-        opt_.framework_bytes_per_part / sizeof(std::uint64_t);
+        kFrameworkBytesPerPart / sizeof(std::uint64_t);
     std::uint64_t* state = framework_state_.data() + p * words;
     mem.stream_read(state, words);
     mem.stream_write(state, words);

@@ -48,12 +48,6 @@ namespace hipa::engine {
 struct PolymerOptions {
   unsigned num_threads = 40;
   unsigned num_nodes = 2;
-  /// Framework indirection costs (user-function dispatch per edge,
-  /// frontier membership checks, CAS-based vertex updates — paper
-  /// §4.3: "suffering from atomic operations, low graph locality and
-  /// irregular memory accesses").
-  std::uint32_t framework_cycles_per_edge = 40;
-  std::uint32_t framework_cycles_per_vertex = 16;
 };
 
 template <class Backend>
@@ -96,6 +90,13 @@ class PolymerEngine {
   }
 
  private:
+  /// Framework indirection costs (user-function dispatch per edge,
+  /// frontier membership checks, CAS-based vertex updates — paper
+  /// §4.3: "suffering from atomic operations, low graph locality and
+  /// irregular memory accesses").
+  static constexpr std::uint32_t kFrameworkCyclesPerEdge = 40;
+  static constexpr std::uint32_t kFrameworkCyclesPerVertex = 16;
+
   /// Per-kernel framework state: node-sliced vertex values and fold
   /// accumulators plus one full contribution replica per node. The
   /// frontier double-buffer is kernel-independent (engine-level).
@@ -454,7 +455,7 @@ class PolymerEngine {
       }
     }
     mem.work(std::uint64_t{e - b} *
-             (2 + opt_.framework_cycles_per_vertex));
+             (2 + kFrameworkCyclesPerVertex));
     if constexpr (kTel) {
       runtime::PhaseSample& row =
           timeline_.thread(t)[runtime::Phase::kScatter];
@@ -517,7 +518,7 @@ class PolymerEngine {
         mem.store(sl.acc.data() + v,
                   K::Pull::merge(mem.load(sl.acc.data() + v), sum));
       }
-      mem.work((hi - lo) * (1 + opt_.framework_cycles_per_edge) + 2);
+      mem.work((hi - lo) * (1 + kFrameworkCyclesPerEdge) + 2);
       if constexpr (kTel) tel_edges += hi - lo;
     }
     if (last) {
@@ -542,7 +543,7 @@ class PolymerEngine {
         next_frontier_[v] = 1;  // framework keeps everything active
       }
       mem.work(std::uint64_t{e - b} *
-               (2 + opt_.framework_cycles_per_vertex));
+               (2 + kFrameworkCyclesPerVertex));
       if constexpr (K::kUsesFrontier) {
         changes_[t].value = any_changed;
       }

@@ -1,5 +1,9 @@
 #include "graph/io.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -8,17 +12,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HIPA_IO_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 
 namespace hipa::graph {
 
@@ -37,34 +33,10 @@ FilePtr open_file(const std::string& path, const char* mode) {
   return f;
 }
 
-// HCSR container versions. v2 adds a header checksum so foreign or
-// corrupted files fail with a clear message instead of an absurd
-// allocation; v1 files (no checksum) are still accepted. v3 is the
-// segmented out-of-core container (manifest + per-destination-range
-// payload slices) and is read exclusively through SegmentedCsr.
+// HCSR container magics; v1/v2 are known only to explain the rejection.
 constexpr std::uint64_t kMagicV1 = 0x48435352'00000001ULL;  // "HCSR" v1
 constexpr std::uint64_t kMagicV2 = 0x48435352'00000002ULL;  // "HCSR" v2
 constexpr std::uint64_t kMagicV3 = 0x48435352'00000003ULL;  // "HCSR" v3
-
-/// FNV-1a over a byte range (seedable so multi-span payloads chain).
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t h = 1469598103934665603ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// FNV-1a over the header's magic/V/E words — cheap, order-sensitive,
-/// and catches both bit rot in the counts and files that merely start
-/// with the right magic.
-std::uint64_t header_checksum(std::uint64_t magic, std::uint64_t v,
-                              std::uint64_t e) {
-  const std::uint64_t words[3] = {magic, v, e};
-  return fnv1a(words, sizeof words);
-}
 
 /// v3 header checksum: magic/V/E/S words.
 std::uint64_t header_checksum_v3(std::uint64_t v, std::uint64_t e,
@@ -73,85 +45,26 @@ std::uint64_t header_checksum_v3(std::uint64_t v, std::uint64_t e,
   return fnv1a(words, sizeof words);
 }
 
+/// FNV-1a over `count` words of type T at `p`, continuing from `h`, and
+/// `check` on each word: checks run in the shadow of the hash's serial
+/// multiply chain instead of costing a second pass over the bytes.
+template <class T, class Check>
+std::uint64_t fnv1a_checked(const unsigned char* p, std::size_t count,
+                            std::uint64_t h, Check&& check) {
+  for (std::size_t i = 0; i < count; ++i, p += sizeof(T)) {
+    T word;
+    std::memcpy(&word, p, sizeof word);
+    check(word);
+    h = fnv1a(p, sizeof word, h);
+  }
+  return h;
+}
+
 constexpr std::size_t kV3HeaderBytes = 40;
 constexpr std::size_t kManifestEntryBytes = 5 * sizeof(std::uint64_t);
 
 constexpr std::size_t round_up_page(std::size_t n) {
   return (n + kPageSize - 1) / kPageSize * kPageSize;
-}
-
-struct HcsrHeader {
-  std::uint64_t magic = 0;
-  std::uint64_t num_vertices = 0;
-  std::uint64_t num_edges = 0;
-  std::uint64_t checksum = 0;  ///< v2 only
-
-  [[nodiscard]] std::size_t size_bytes() const {
-    return magic == kMagicV1 ? 24 : 32;
-  }
-  [[nodiscard]] std::size_t offsets_bytes() const {
-    return static_cast<std::size_t>(num_vertices + 1) * sizeof(eid_t);
-  }
-  [[nodiscard]] std::size_t targets_bytes() const {
-    return static_cast<std::size_t>(num_edges) * sizeof(vid_t);
-  }
-  [[nodiscard]] std::size_t file_bytes() const {
-    return size_bytes() + offsets_bytes() + targets_bytes();
-  }
-};
-
-/// Parse + validate an HCSR header from `raw` (at least
-/// `raw_bytes` readable). `file_bytes` is the actual on-disk size;
-/// both truncated and padded files are rejected with exact numbers.
-HcsrHeader check_header(const std::string& path, const void* raw,
-                        std::size_t raw_bytes, std::size_t file_bytes) {
-  HIPA_CHECK(raw_bytes >= 24, "'" << path << "' is not a HCSR file: only "
-                                  << raw_bytes
-                                  << " bytes, smaller than any header");
-  HcsrHeader h;
-  const char* p = static_cast<const char*>(raw);
-  std::memcpy(&h.magic, p, 8);
-  HIPA_CHECK(h.magic != kMagicV3,
-             "'" << path << "' is a segmented HCSR v3 file — load it with "
-                    "graph::SegmentedCsr::open (the out-of-core path); "
-                    "plain load_csr reads v1/v2 only");
-  HIPA_CHECK(h.magic == kMagicV1 || h.magic == kMagicV2,
-             "'" << path << "' is not a HCSR file (magic 0x" << std::hex
-                 << h.magic << std::dec
-                 << "; expected HCSR v1 or v2) — refusing to parse a "
-                    "foreign format");
-  std::memcpy(&h.num_vertices, p + 8, 8);
-  std::memcpy(&h.num_edges, p + 16, 8);
-  if (h.magic == kMagicV2) {
-    HIPA_CHECK(raw_bytes >= 32, "'" << path
-                                    << "' truncated inside the v2 header ("
-                                    << raw_bytes << " of 32 bytes)");
-    std::memcpy(&h.checksum, p + 24, 8);
-    const std::uint64_t want =
-        header_checksum(h.magic, h.num_vertices, h.num_edges);
-    HIPA_CHECK(h.checksum == want,
-               "'" << path << "' header checksum mismatch (file 0x"
-                   << std::hex << h.checksum << ", computed 0x" << want
-                   << std::dec << ") — corrupted or foreign file");
-  }
-  HIPA_CHECK(h.num_vertices < kInvalidVid,
-             "'" << path << "' vertex count " << h.num_vertices
-                 << " overflows vid_t — corrupted header");
-  HIPA_CHECK(file_bytes == h.file_bytes(),
-             "'" << path << "' size mismatch: " << file_bytes
-                 << " bytes on disk, header implies " << h.file_bytes()
-                 << " (" << h.num_vertices << " vertices, " << h.num_edges
-                 << " edges) — truncated or corrupted file");
-  return h;
-}
-
-CsrGraph payload_to_csr(const HcsrHeader& h, const char* payload) {
-  AlignedBuffer<eid_t> offsets(h.num_vertices + 1);
-  AlignedBuffer<vid_t> targets(h.num_edges);
-  std::memcpy(offsets.data(), payload, h.offsets_bytes());
-  std::memcpy(targets.data(), payload + h.offsets_bytes(),
-              h.targets_bytes());
-  return CsrGraph(std::move(offsets), std::move(targets));
 }
 
 void write_exact(std::FILE* f, const void* p, std::size_t bytes) {
@@ -166,78 +79,6 @@ void write_zeros(std::FILE* f, std::size_t bytes) {
     bytes -= n;
   }
 }
-
-/// Portable stdio fallback (and the path taken when mmap fails):
-/// size the file via seek, validate the header against it, then read
-/// the payload with exact-size checks.
-CsrGraph load_csr_stdio(const std::string& path) {
-  FilePtr f = open_file(path, "rb");
-  HIPA_CHECK(std::fseek(f.get(), 0, SEEK_END) == 0,
-             "cannot seek '" << path << "'");
-  const long end = std::ftell(f.get());
-  HIPA_CHECK(end >= 0, "cannot size '" << path << "'");
-  const auto file_bytes = static_cast<std::size_t>(end);
-  std::rewind(f.get());
-
-  unsigned char head[32] = {};
-  const std::size_t head_bytes =
-      std::fread(head, 1, sizeof head, f.get());
-  const HcsrHeader h = check_header(path, head, head_bytes, file_bytes);
-
-  HIPA_CHECK(std::fseek(f.get(), static_cast<long>(h.size_bytes()),
-                        SEEK_SET) == 0,
-             "cannot seek '" << path << "'");
-  AlignedBuffer<eid_t> offsets(h.num_vertices + 1);
-  AlignedBuffer<vid_t> targets(h.num_edges);
-  HIPA_CHECK(std::fread(offsets.data(), 1, h.offsets_bytes(), f.get()) ==
-                 h.offsets_bytes(),
-             "'" << path << "' truncated inside the offsets array");
-  HIPA_CHECK(std::fread(targets.data(), 1, h.targets_bytes(), f.get()) ==
-                 h.targets_bytes(),
-             "'" << path << "' truncated inside the targets array");
-  return CsrGraph(std::move(offsets), std::move(targets));
-}
-
-#if HIPA_IO_HAVE_MMAP
-/// mmap-backed load: one mapping gives the exact file size up front
-/// (so truncation is a precise error, not a mid-read surprise) and the
-/// kernel streams pages in without stdio's double buffering. The
-/// payload is copied into page-aligned AlignedBuffers — the CSR
-/// arrays' alignment contract (cache-line minimum) cannot be met by
-/// data sitting at file offset 24/32 inside the mapping.
-bool load_csr_mmap(const std::string& path, CsrGraph* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  HIPA_CHECK(fd >= 0, "cannot open '" << path << "' (rb)");
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
-  struct stat st = {};
-  HIPA_CHECK(::fstat(fd, &st) == 0, "cannot stat '" << path << "'");
-  HIPA_CHECK(S_ISREG(st.st_mode),
-             "'" << path << "' is not a regular file");
-  const auto file_bytes = static_cast<std::size_t>(st.st_size);
-  // Degenerate sizes still go through check_header for the real error
-  // message, with an empty mapping.
-  if (file_bytes == 0) {
-    (void)check_header(path, "", 0, 0);
-  }
-
-  void* map = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  if (map == MAP_FAILED) return false;  // caller falls back to stdio
-  struct MapCloser {
-    void* p;
-    std::size_t n;
-    ~MapCloser() { ::munmap(p, n); }
-  } unmapper{map, file_bytes};
-
-  const HcsrHeader h = check_header(path, map, file_bytes, file_bytes);
-  *out = payload_to_csr(h, static_cast<const char*>(map) +
-                               h.size_bytes());
-  return true;
-}
-#endif
 
 }  // namespace
 
@@ -322,29 +163,6 @@ void write_edge_list(const std::string& path, vid_t num_vertices,
   for (const Edge& e : edges) {
     std::fprintf(f.get(), "%u %u\n", e.src, e.dst);
   }
-}
-
-void save_csr(const std::string& path, const CsrGraph& g) {
-  FilePtr f = open_file(path, "wb");
-  const std::uint64_t v = g.num_vertices();
-  const std::uint64_t e = g.num_edges();
-  const std::uint64_t sum = header_checksum(kMagicV2, v, e);
-  write_exact(f.get(), &kMagicV2, sizeof kMagicV2);
-  write_exact(f.get(), &v, sizeof v);
-  write_exact(f.get(), &e, sizeof e);
-  write_exact(f.get(), &sum, sizeof sum);
-  write_exact(f.get(), g.offsets().data(), g.offsets().size_bytes());
-  write_exact(f.get(), g.targets().data(), g.targets().size_bytes());
-}
-
-CsrGraph load_csr(const std::string& path) {
-#if HIPA_IO_HAVE_MMAP
-  CsrGraph g;
-  if (load_csr_mmap(path, &g)) return g;
-  // mmap refused (exotic filesystem, resource limits): same
-  // validations on the buffered path.
-#endif
-  return load_csr_stdio(path);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,40 +370,22 @@ void save_segmented_csr(const std::string& path, const Graph& g,
 
 struct SegmentedCsr::Impl {
   std::string path;
-#if HIPA_IO_HAVE_MMAP
   int fd = -1;
-#endif
-  std::FILE* file = nullptr;  ///< non-mmap fallback (position-locked)
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
   std::vector<SegmentInfo> segments;
   AlignedBuffer<std::uint32_t> out_degrees;
   std::size_t max_payload = 0;
   std::size_t total_payload = 0;
-
-  mutable std::mutex mu;  ///< mappings + watermark + stdio position
-  std::vector<const void*> mapped;          ///< per-segment base or null
-  std::vector<std::unique_ptr<char[]>> mapped_copy;  ///< non-mmap maps
-  std::size_t mapped_bytes = 0;
-  std::size_t peak_mapped = 0;
   mutable std::atomic<std::uint64_t> fetched{0};
 
   ~Impl() {
-#if HIPA_IO_HAVE_MMAP
-    for (std::size_t s = 0; s < mapped.size(); ++s) {
-      if (mapped[s] != nullptr && !mapped_copy[s]) {
-        ::munmap(const_cast<void*>(mapped[s]), segments[s].payload_bytes);
-      }
-    }
     if (fd >= 0) ::close(fd);
-#endif
-    if (file != nullptr) std::fclose(file);
   }
 
-  /// Positional read that never shares a file offset across threads
-  /// (pread on POSIX; a mutex-guarded seek+read otherwise).
+  /// Positional read (pread), so concurrent fetches never share a file
+  /// offset.
   void read_at(std::uint64_t offset, void* dst, std::size_t bytes) const {
-#if HIPA_IO_HAVE_MMAP
     auto* p = static_cast<char*>(dst);
     std::size_t done = 0;
     while (done < bytes) {
@@ -595,14 +395,6 @@ struct SegmentedCsr::Impl {
                             << (offset + done));
       done += static_cast<std::size_t>(n);
     }
-#else
-    std::lock_guard<std::mutex> lock(mu);
-    HIPA_CHECK(std::fseek(file, static_cast<long>(offset), SEEK_SET) == 0,
-               "cannot seek '" << path << "'");
-    HIPA_CHECK(std::fread(dst, 1, bytes, file) == bytes,
-               "'" << path << "' truncated or unreadable at byte "
-                   << offset);
-#endif
   }
 };
 
@@ -616,23 +408,12 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
   Impl& im = *out.impl_;
   im.path = path;
 
-  std::uint64_t file_bytes = 0;
-#if HIPA_IO_HAVE_MMAP
   im.fd = ::open(path.c_str(), O_RDONLY);
   HIPA_CHECK(im.fd >= 0, "cannot open '" << path << "' (rb)");
   struct stat st = {};
   HIPA_CHECK(::fstat(im.fd, &st) == 0, "cannot stat '" << path << "'");
   HIPA_CHECK(S_ISREG(st.st_mode), "'" << path << "' is not a regular file");
-  file_bytes = static_cast<std::uint64_t>(st.st_size);
-#else
-  im.file = std::fopen(path.c_str(), "rb");
-  HIPA_CHECK(im.file != nullptr, "cannot open '" << path << "' (rb)");
-  HIPA_CHECK(std::fseek(im.file, 0, SEEK_END) == 0,
-             "cannot seek '" << path << "'");
-  const long end = std::ftell(im.file);
-  HIPA_CHECK(end >= 0, "cannot size '" << path << "'");
-  file_bytes = static_cast<std::uint64_t>(end);
-#endif
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
 
   HIPA_CHECK(file_bytes >= 8, "'" << path
                                   << "' is not a segmented HCSR file: only "
@@ -642,9 +423,8 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
   HIPA_CHECK(head[0] != kMagicV1 && head[0] != kMagicV2,
              "'" << path << "' is a plain HCSR v"
                  << (head[0] == kMagicV1 ? 1 : 2)
-                 << " file, not the segmented v3 container — load it with "
-                    "load_csr, or re-shard it with hipa-convert / "
-                    "save_segmented_csr for out-of-core runs");
+                 << " file, not the segmented v3 container — re-shard it "
+                    "with hipa-convert / save_segmented_csr");
   HIPA_CHECK(head[0] == kMagicV3,
              "'" << path << "' is not a segmented HCSR v3 file (magic 0x"
                  << std::hex << head[0] << std::dec
@@ -745,8 +525,6 @@ SegmentedCsr SegmentedCsr::open(const std::string& path) {
                  << " but the header claims " << im.num_edges
                  << " edges — corrupted degree table");
 
-  im.mapped.assign(num_segments, nullptr);
-  im.mapped_copy.resize(num_segments);
   return out;
 }
 
@@ -774,14 +552,43 @@ std::size_t SegmentedCsr::total_payload_bytes() const {
 
 void SegmentedCsr::read_segment(unsigned s, void* dst) const {
   const SegmentInfo& e = segment(s);
-  impl_->read_at(e.file_offset, dst, e.payload_bytes);
-  const std::uint64_t sum = fnv1a(dst, e.payload_bytes);
+  const Impl& im = *impl_;
+  im.read_at(e.file_offset, dst, e.payload_bytes);
+  // view() and the engines index by the offsets and sources unchecked,
+  // so besides the checksum the offsets must run non-decreasing from 0
+  // to the edge count the size implies, and every source must be < V.
+  const std::size_t nv = e.num_vertices();
+  const std::size_t offsets_bytes = (nv + 1) * sizeof(eid_t);
+  const std::uint64_t ne = (e.payload_bytes - offsets_bytes) / sizeof(vid_t);
+  const auto* p = static_cast<const unsigned char*>(dst);
+  bool ordered = true;
+  eid_t last = 0;
+  std::uint64_t sum =
+      fnv1a_checked<eid_t>(p, nv + 1, kFnv1aBasis, [&](eid_t o) {
+        ordered &= o >= last;
+        last = o;
+      });
+  vid_t max_source = 0;
+  sum = fnv1a_checked<vid_t>(p + offsets_bytes, ne, sum, [&](vid_t v) {
+    max_source = std::max(max_source, v);
+  });
   HIPA_CHECK(sum == e.checksum,
-             "'" << impl_->path << "' segment " << s
+             "'" << im.path << "' segment " << s
                  << " checksum mismatch (file manifest 0x" << std::hex
                  << e.checksum << ", payload 0x" << sum << std::dec
                  << ") — corrupted segment");
-  impl_->fetched.fetch_add(e.payload_bytes, std::memory_order_relaxed);
+  eid_t first = 0;
+  std::memcpy(&first, p, sizeof first);
+  HIPA_CHECK(first == 0 && ordered && last == ne,
+             "'" << im.path << "' segment " << s
+                 << " offsets do not run non-decreasing from 0 to its " << ne
+                 << " edges (first " << first << ", last " << last
+                 << ") — corrupted segment");
+  HIPA_CHECK(max_source < im.num_vertices,
+             "'" << im.path << "' segment " << s << " names source vertex "
+                 << max_source << " outside [0, " << im.num_vertices
+                 << ") — corrupted segment");
+  im.fetched.fetch_add(e.payload_bytes, std::memory_order_relaxed);
 }
 
 SegmentedCsr::SegmentView SegmentedCsr::view(unsigned s,
@@ -797,71 +604,6 @@ SegmentedCsr::SegmentView SegmentedCsr::view(unsigned s,
   return v;
 }
 
-const void* SegmentedCsr::map_segment(unsigned s) {
-  const SegmentInfo& e = segment(s);
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lock(im.mu);
-  if (im.mapped[s] != nullptr) return im.mapped[s];
-  const void* base = nullptr;
-#if HIPA_IO_HAVE_MMAP
-  void* map = ::mmap(nullptr, e.payload_bytes, PROT_READ, MAP_PRIVATE,
-                     im.fd, static_cast<off_t>(e.file_offset));
-  if (map != MAP_FAILED) {
-    (void)::madvise(map, e.payload_bytes, MADV_WILLNEED);
-    base = map;
-  }
-#endif
-  if (base == nullptr) {
-    // mmap refused (or unavailable): a private copy keeps the API
-    // functional; accounting treats it exactly like a mapping.
-    auto copy = std::make_unique<char[]>(e.payload_bytes);
-    im.read_at(e.file_offset, copy.get(), e.payload_bytes);
-    base = copy.get();
-    im.mapped_copy[s] = std::move(copy);
-  }
-  const std::uint64_t sum = fnv1a(base, e.payload_bytes);
-  if (sum != e.checksum) {
-#if HIPA_IO_HAVE_MMAP
-    if (!im.mapped_copy[s]) {
-      ::munmap(const_cast<void*>(base), e.payload_bytes);
-    }
-#endif
-    im.mapped_copy[s].reset();
-    HIPA_CHECK(false, "'" << im.path << "' segment " << s
-                          << " checksum mismatch (file manifest 0x"
-                          << std::hex << e.checksum << ", payload 0x" << sum
-                          << std::dec << ") — corrupted segment");
-  }
-  im.mapped[s] = base;
-  im.mapped_bytes += e.payload_bytes;
-  im.peak_mapped = std::max(im.peak_mapped, im.mapped_bytes);
-  im.fetched.fetch_add(e.payload_bytes, std::memory_order_relaxed);
-  return base;
-}
-
-void SegmentedCsr::unmap_segment(unsigned s) {
-  const SegmentInfo& e = segment(s);
-  Impl& im = *impl_;
-  std::lock_guard<std::mutex> lock(im.mu);
-  if (im.mapped[s] == nullptr) return;
-#if HIPA_IO_HAVE_MMAP
-  if (!im.mapped_copy[s]) {
-    ::munmap(const_cast<void*>(im.mapped[s]), e.payload_bytes);
-  }
-#endif
-  im.mapped_copy[s].reset();
-  im.mapped[s] = nullptr;
-  im.mapped_bytes -= e.payload_bytes;
-}
-
-std::size_t SegmentedCsr::mapped_bytes() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->mapped_bytes;
-}
-std::size_t SegmentedCsr::peak_mapped_bytes() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->peak_mapped;
-}
 std::uint64_t SegmentedCsr::bytes_fetched() const {
   return impl_->fetched.load(std::memory_order_relaxed);
 }

@@ -1,7 +1,7 @@
-// Graph serialization: whitespace edge lists (SNAP/KONECT style), a
-// fast binary CSR container (HCSR v1/v2), and the segmented HCSR v3
-// container for out-of-core execution (per-destination-range segment
-// slices with a checksummed manifest, mapped or read one at a time).
+// Graph serialization: whitespace edge lists (SNAP/KONECT style) and
+// the segmented HCSR v3 container, the one binary form a graph takes
+// on disk (per-destination-range segment slices with a checksummed
+// manifest, read one segment at a time with SegmentedCsr::read_segment).
 #pragma once
 
 #include <cstdint>
@@ -45,15 +45,8 @@ EdgeListInfo stream_edge_list(
 void write_edge_list(const std::string& path, vid_t num_vertices,
                      const std::vector<Edge>& edges);
 
-/// Binary CSR container (".hcsr"): magic, version, V, E, offsets,
-/// targets. Little-endian, host-width types as defined in types.hpp.
-/// Reads v1 and v2; segmented v3 files are rejected with a pointer to
-/// SegmentedCsr.
-void save_csr(const std::string& path, const CsrGraph& g);
-[[nodiscard]] CsrGraph load_csr(const std::string& path);
-
 // ---------------------------------------------------------------------------
-// Segmented HCSR v3 — the out-of-core container.
+// Segmented HCSR v3 — the on-disk graph container.
 // ---------------------------------------------------------------------------
 //
 // Layout (little-endian, host-width types):
@@ -149,13 +142,12 @@ void save_segmented_csr(const std::string& path, const Graph& g,
 /// Read-side handle over a segmented v3 file. Opening validates the
 /// header, manifest (checksums, contiguous coverage, in-file bounds)
 /// and loads only the degree table; segment payloads are fetched on
-/// demand via read_segment (pread into caller storage) or
-/// map_segment/unmap_segment (mmap + MADV_WILLNEED). Byte accounting
-/// (cumulative fetched, current/peak mapped) feeds the out-of-core
-/// engine's budget assertion and the `oocore` bench section.
+/// demand with read_segment (pread into caller storage), which
+/// validates each one before handing it out. bytes_fetched() counts
+/// what was read.
 ///
 /// read_segment is safe to call from a prefetch thread concurrently
-/// with map/unmap/metadata calls on another thread.
+/// with metadata calls on another thread.
 class SegmentedCsr {
  public:
   [[nodiscard]] static SegmentedCsr open(const std::string& path);
@@ -176,15 +168,18 @@ class SegmentedCsr {
   /// Largest single segment payload — the unit the out-of-core
   /// engine's staging slots are sized by.
   [[nodiscard]] std::size_t max_payload_bytes() const;
-  /// Sum of all payloads — what a fully resident run would map.
+  /// Sum of all payloads — what a fully resident run would hold.
   [[nodiscard]] std::size_t total_payload_bytes() const;
 
   /// pread segment `s` into `dst` (at least payload_bytes writable)
-  /// and verify its manifest checksum. Thread-safe.
+  /// and validate it: the manifest checksum, offsets
+  /// non-decreasing from 0 to the payload's edge count, and every
+  /// source < num_vertices(). Throws hipa::Error naming the segment
+  /// otherwise. Thread-safe.
   void read_segment(unsigned s, void* dst) const;
 
-  /// Decoded view over a fetched payload of segment `s` (`payload` is
-  /// what read_segment filled or map_segment returned).
+  /// Decoded view over a payload of segment `s` that read_segment
+  /// filled (and so validated).
   struct SegmentView {
     VertexRange range;
     std::span<const eid_t> offsets;  ///< nv+1 entries, rebased to 0
@@ -192,18 +187,7 @@ class SegmentedCsr {
   };
   [[nodiscard]] SegmentView view(unsigned s, const void* payload) const;
 
-  /// Map segment `s` read-only (mmap + MADV_WILLNEED), verify its
-  /// checksum, and account the mapping. Repeated maps of the same
-  /// segment return the existing mapping.
-  [[nodiscard]] const void* map_segment(unsigned s);
-  /// Drop segment `s`'s mapping (no-op if not mapped).
-  void unmap_segment(unsigned s);
-
-  /// Currently mapped payload bytes (map_segment minus unmap_segment).
-  [[nodiscard]] std::size_t mapped_bytes() const;
-  /// High-water mark of mapped_bytes over this handle's lifetime.
-  [[nodiscard]] std::size_t peak_mapped_bytes() const;
-  /// Cumulative payload bytes fetched (reads + fresh maps).
+  /// Cumulative payload bytes fetched by read_segment.
   [[nodiscard]] std::uint64_t bytes_fetched() const;
 
  private:

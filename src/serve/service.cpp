@@ -13,15 +13,16 @@ namespace hipa::serve {
 
 namespace {
 
-/// CPU for worker `w`, which serves store node `node`: the w-th CPU of
-/// that node (wrapping), so multiple workers mapped onto one host node
-/// spread over its cores. -1 = no pinning.
-int worker_cpu(unsigned w, unsigned node, bool pin) {
+/// CPU for the worker serving store node `node`: the k-th worker on a
+/// host node takes its k-th CPU from the END of the list (wrapping), so
+/// workers get distinct CPUs and a node-blocked engine team, which
+/// fills the list from the front, reaches them last. -1 = no pinning.
+int worker_cpu(unsigned node, bool pin) {
   if (!pin) return -1;
   const runtime::HostTopology& topo = runtime::topology();
   const auto& cpus = topo.node_cpus[node % topo.num_nodes()];
-  if (cpus.empty()) return -1;
-  return static_cast<int>(cpus[w % cpus.size()]);
+  const std::size_t k = node / topo.num_nodes();
+  return static_cast<int>(cpus[cpus.size() - 1 - k % cpus.size()]);
 }
 
 }  // namespace
@@ -89,7 +90,7 @@ RankService::RankService(const SnapshotStore& store, ServiceOptions opt)
   // Start threads only after the vector is fully built — worker_loop
   // indexes workers_.
   for (unsigned w = 0; w < nodes; ++w) {
-    const int cpu = worker_cpu(/*w=*/0, /*node=*/w, opt_.pin_workers);
+    const int cpu = worker_cpu(/*node=*/w, opt_.pin_workers);
     workers_[w]->thread =
         std::thread([this, w, cpu] { worker_loop(w, cpu); });
   }

@@ -7,7 +7,6 @@
 #include "common/timer.hpp"
 #include "engines/backend.hpp"
 #include "engines/metrics_bridge.hpp"
-#include "engines/oocore_engine.hpp"
 
 namespace hipa::serve {
 
@@ -110,27 +109,6 @@ UpdateRefresher::UpdateRefresher(vid_t num_vertices,
 UpdateRefresher::~UpdateRefresher() { stop(); }
 
 engine::RunResult UpdateRefresher::full_run() {
-  // File-backed mode: stream the segmented graph through OocoreEngine
-  // (bounded resident bytes, ranks bitwise identical to in-core) — the
-  // refresh path of a shard that never holds the whole CSR. Only the
-  // plain PageRank kernel runs out-of-core.
-  if (!opt_.graph_path.empty()) {
-    HIPA_CHECK(opt_.full.kernel == algo::Kernel::kPageRank,
-               "file-backed refresh supports only the pagerank kernel, got "
-                   << algo::kernel_name(opt_.full.kernel));
-    engine::NativeBackend backend;
-    engine::OocoreOptions oo;
-    oo.num_threads = opt_.oocore_threads;
-    oo.resident_budget_bytes = opt_.oocore_resident_budget_bytes;
-    engine::OocoreEngine eng(opt_.graph_path, oo, backend);
-    engine::RunResult result = eng.run(opt_.full.pr);
-    HIPA_CHECK(result.ranks.size() == num_vertices_,
-               "segmented file '" << opt_.graph_path << "' holds "
-                                  << result.ranks.size()
-                                  << " vertices, store expects "
-                                  << num_vertices_);
-    return result;
-  }
   // Route through the kernel-generic facade, honoring the configured
   // rank-producing kernel (the snapshot store serves rank_t vectors,
   // so only the PageRank family can back a refresh).
@@ -193,31 +171,6 @@ RefreshReport UpdateRefresher::refresh_now() {
   std::lock_guard<std::mutex> lock(refresh_mutex_);
   RefreshReport report;
   const std::vector<EdgeUpdate> batch = queue_.drain();
-  if (!opt_.graph_path.empty()) {
-    // File-backed topology is immutable from here; updates belong in a
-    // re-converted file, not the queue.
-    HIPA_CHECK(batch.empty(),
-               "file-backed refresher cannot apply "
-                   << batch.size()
-                   << " queued edge updates — re-convert the segmented "
-                      "file and refresh instead");
-    Timer timer;
-    const engine::RunResult result = full_run();
-    report.full_run = true;
-    report.iterations = result.report.iterations;
-    report.epoch = store_.publish(result);
-    full_refreshes_.fetch_add(1, std::memory_order_relaxed);
-    refreshes_.fetch_add(1, std::memory_order_relaxed);
-    report.seconds = timer.seconds();
-    full_refreshes_metric_.inc();
-    full_latency_metric_.record(
-        runtime::metrics::seconds_to_ns(report.seconds));
-    publish_epoch_metric_.set(static_cast<std::int64_t>(report.epoch));
-    if (registry_ != nullptr) {
-      engine::fold_run_metrics(*registry_, result.report);
-    }
-    return report;
-  }
   if (batch.empty()) return report;
 
   Timer timer;

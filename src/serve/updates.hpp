@@ -104,19 +104,6 @@ struct RefreshOptions {
   /// inserts of one edge are idempotent).
   graph::BuildOptions build{.sort_neighbors = true,
                             .remove_duplicates = true};
-  /// Non-empty: full recomputes stream from this segmented HCSR v3
-  /// file through OocoreEngine instead of running over the in-memory
-  /// CSR — the shard-fleet refresh mode, where a process serves a
-  /// vertex slice without holding the whole in-core graph. File-backed
-  /// mode is full-run only (kernel must stay kPageRank) and the
-  /// topology is the file's: edge updates cannot be applied, so
-  /// refresh_now() rejects a non-empty queue, and refresh_now()
-  /// recomputes unconditionally (the use case is "the file was
-  /// re-converted on disk").
-  std::string graph_path;
-  /// OocoreEngine knobs for file-backed full runs.
-  unsigned oocore_threads = 2;
-  std::size_t oocore_resident_budget_bytes = 0;  ///< 0 = unlimited
   /// Background-thread poll period.
   double poll_seconds = 0.005;
   /// Lifetime metrics (refresh latency by kind, applied updates,

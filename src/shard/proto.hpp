@@ -13,11 +13,11 @@
 //   u64 checksum     FNV-1a over the payload bytes
 //   u8  payload[payload_len]
 //
-// The checksum is the same FNV-1a the segmented HCSR v3 container uses
-// for its payload slices — one integrity discipline across disk and
-// wire. A frame that fails magic, length, or checksum validation
-// poisons the connection (the transport returns false and the peer
-// reconnects); there is no resync inside a stream.
+// The checksum is common/fnv1a.hpp's FNV-1a, the one the segmented
+// HCSR v3 container uses for its payload slices — one integrity
+// discipline across disk and wire. A frame that fails magic, length,
+// or checksum validation poisons the connection (the transport returns
+// false and the peer reconnects); there is no resync inside a stream.
 //
 // Message payloads are encoded with WireWriter/WireReader below.
 // Every vertex id on the wire is a GLOBAL id; shards translate to
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/types.hpp"
 #include "serve/query.hpp"
 #include "serve/topk_index.hpp"
@@ -63,10 +64,9 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// FNV-1a 64-bit — the same function graph/io uses for segment
-/// payloads, reimplemented here so the wire layer depends only on
-/// common/.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t n);
+/// The frame checksum: common/fnv1a.hpp's FNV-1a, the same function
+/// graph/io uses for segment payloads.
+using hipa::fnv1a;
 
 // ---------------------------------------------------------------------------
 // Payload encoding primitives

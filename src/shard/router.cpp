@@ -22,6 +22,16 @@ double now_seconds() {
 constexpr std::size_t kHotMergeParts = 64;
 constexpr std::size_t kHotMergeK = 256;
 
+/// Consecutive failed health probes before a shard is kDead.
+constexpr unsigned kFailThreshold = 2;
+/// Degraded thresholds against the scraped health sample.
+constexpr std::int64_t kMaxQueueDepth = 1024;
+constexpr std::int64_t kMaxEpochLag = 8;
+constexpr double kMaxRefreshP99Seconds = 120.0;
+/// Reconnect backoff: the base doubles up to the cap.
+constexpr double kBackoffBaseSeconds = 0.05;
+constexpr double kBackoffMaxSeconds = 1.0;
+
 // shard-hot-path-begin
 // The scatter/merge inner loops below run once per routed request on
 // every caller thread; scripts/check_allocations.sh lints this region
@@ -608,7 +618,7 @@ bool ShardRouter::round_trip(ShardState& st, Conn& conn,
 void ShardRouter::worker_loop(std::size_t s) {
   ShardState& st = *shards_[s];
   std::unique_ptr<Conn> conn = std::move(initial_conns_[s]);
-  double backoff = opt_.backoff_base_seconds;
+  double backoff = kBackoffBaseSeconds;
   std::uint32_t seen_generation = 0;
   std::vector<Pending> batch;
 
@@ -670,7 +680,7 @@ void ShardRouter::worker_loop(std::size_t s) {
         }
         st.probe_failures.store(0, std::memory_order_relaxed);
         stats_reconnects_.fetch_add(1, std::memory_order_relaxed);
-        backoff = opt_.backoff_base_seconds;
+        backoff = kBackoffBaseSeconds;
         continue;  // next iteration drains the queue
       }
       // Connect failed: the shard is dead until a hello succeeds.
@@ -684,7 +694,7 @@ void ShardRouter::worker_loop(std::size_t s) {
       st.cv.wait_for(lock, std::chrono::duration<double>(backoff), [&] {
         return st.shutdown || st.target_generation != seen_generation;
       });
-      backoff = std::min(backoff * 2.0, opt_.backoff_max_seconds);
+      backoff = std::min(backoff * 2.0, kBackoffMaxSeconds);
       continue;
     }
 
@@ -753,7 +763,7 @@ void ShardRouter::poll_loop() {
       if (!h.has_value()) {
         const unsigned fails =
             st.probe_failures.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (fails >= opt_.fail_threshold) {
+        if (fails >= kFailThreshold) {
           st.health.store(static_cast<int>(ShardHealth::kDead),
                           std::memory_order_release);
         }
@@ -766,10 +776,10 @@ void ShardRouter::poll_loop() {
               std::memory_order_acquire)) == ShardHealth::kDead) {
         continue;
       }
-      const bool drowning = h->queue_depth > opt_.max_queue_depth ||
-                            h->epoch_lag > opt_.max_epoch_lag ||
+      const bool drowning = h->queue_depth > kMaxQueueDepth ||
+                            h->epoch_lag > kMaxEpochLag ||
                             h->refresh_p99_seconds >
-                                opt_.max_refresh_p99_seconds;
+                                kMaxRefreshP99Seconds;
       st.health.store(static_cast<int>(drowning ? ShardHealth::kDegraded
                                                 : ShardHealth::kAlive),
                       std::memory_order_release);

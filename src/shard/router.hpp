@@ -72,19 +72,8 @@ struct ShardTarget {
                                      int metrics_port = -1);
 
 struct RouterOptions {
-  double connect_timeout_seconds = 5.0;
   /// Health poll period; <= 0 disables the poller.
   double health_poll_seconds = 0.1;
-  /// Consecutive failed probes (or broken query connections) before a
-  /// shard is kDead.
-  unsigned fail_threshold = 2;
-  /// Degraded thresholds against the scraped health sample.
-  std::int64_t max_queue_depth = 1024;
-  std::int64_t max_epoch_lag = 8;
-  double max_refresh_p99_seconds = 120.0;
-  /// Reconnect backoff: base doubles up to the cap.
-  double backoff_base_seconds = 0.05;
-  double backoff_max_seconds = 1.0;
   /// A subquery unanswered for this long fails with an error (the
   /// caller sees ok = false, never fabricated data).
   double query_timeout_seconds = 10.0;

@@ -1,5 +1,5 @@
 // Unit tests for src/graph: CSR invariants, builder options, transpose,
-// I/O round-trips, statistics, reordering.
+// edge-list I/O, statistics, reordering.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -130,32 +130,6 @@ TEST(Io, EdgeListSkipsComments) {
   std::remove(path.c_str());
 }
 
-TEST(Io, BinaryCsrRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/hipa_test.hcsr";
-  const CsrGraph g = build_csr(4, diamond());
-  save_csr(path, g);
-  const CsrGraph loaded = load_csr(path);
-  EXPECT_EQ(loaded.num_vertices(), g.num_vertices());
-  EXPECT_EQ(loaded.num_edges(), g.num_edges());
-  for (vid_t v = 0; v < 4; ++v) {
-    const auto a = g.neighbors(v);
-    const auto b = loaded.neighbors(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/hipa_garbage.hcsr";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a csr file at all, just text", f);
-  std::fclose(f);
-  EXPECT_THROW(load_csr(path), Error);
-  std::remove(path.c_str());
-}
-
 namespace {
 
 /// Runs `fn`, expecting it to throw hipa::Error; returns the message.
@@ -170,14 +144,6 @@ std::string error_message(Fn&& fn) {
   return {};
 }
 
-void write_file(const std::string& path, const void* data,
-                std::size_t bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(data, 1, bytes, f), bytes);
-  std::fclose(f);
-}
-
 void write_text(const std::string& path, const char* text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
@@ -185,92 +151,7 @@ void write_text(const std::string& path, const char* text) {
   std::fclose(f);
 }
 
-std::vector<char> slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  std::vector<char> bytes(static_cast<std::size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return bytes;
-}
-
 }  // namespace
-
-TEST(Io, BinaryRejectsTruncatedFile) {
-  const std::string path = ::testing::TempDir() + "/hipa_trunc.hcsr";
-  save_csr(path, build_csr(4, diamond()));
-  std::vector<char> bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 10u);
-  bytes.resize(bytes.size() - 10);  // chop the payload tail
-  write_file(path, bytes.data(), bytes.size());
-  const std::string msg = error_message([&] { (void)load_csr(path); });
-  EXPECT_NE(msg.find("size mismatch"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsForeignMagic) {
-  const std::string path = ::testing::TempDir() + "/hipa_foreign.hcsr";
-  // Plausibly sized binary file with the wrong magic: must be named
-  // as a foreign format, not as a truncation.
-  std::vector<char> bytes(64, '\x7f');
-  write_file(path, bytes.data(), bytes.size());
-  const std::string msg = error_message([&] { (void)load_csr(path); });
-  EXPECT_NE(msg.find("foreign"), std::string::npos) << msg;
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsChecksumMismatch) {
-  const std::string path = ::testing::TempDir() + "/hipa_cksum.hcsr";
-  save_csr(path, build_csr(4, diamond()));
-  std::vector<char> bytes = slurp(path);
-  ASSERT_GE(bytes.size(), 32u);
-  bytes[24] ^= 0x01;  // flip one bit inside the v2 checksum word
-  write_file(path, bytes.data(), bytes.size());
-  const std::string msg = error_message([&] { (void)load_csr(path); });
-  EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryRejectsCorruptedCounts) {
-  const std::string path = ::testing::TempDir() + "/hipa_counts.hcsr";
-  save_csr(path, build_csr(4, diamond()));
-  std::vector<char> bytes = slurp(path);
-  bytes[8] ^= 0x01;  // vertex-count word: checksum must catch it
-  write_file(path, bytes.data(), bytes.size());
-  EXPECT_THROW((void)load_csr(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Io, BinaryAcceptsV1Header) {
-  // A v1 file is the 24-byte checksum-free header + payload. Build it
-  // by hand so the reader keeps accepting pre-v2 artifacts.
-  const std::string path = ::testing::TempDir() + "/hipa_v1.hcsr";
-  const CsrGraph g = build_csr(4, diamond());
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const std::uint64_t magic = 0x48435352'00000001ULL;
-  const std::uint64_t v = g.num_vertices();
-  const std::uint64_t e = g.num_edges();
-  std::fwrite(&magic, 1, 8, f);
-  std::fwrite(&v, 1, 8, f);
-  std::fwrite(&e, 1, 8, f);
-  std::fwrite(g.offsets().data(), 1, g.offsets().size_bytes(), f);
-  std::fwrite(g.targets().data(), 1, g.targets().size_bytes(), f);
-  std::fclose(f);
-  const CsrGraph loaded = load_csr(path);
-  ASSERT_EQ(loaded.num_vertices(), g.num_vertices());
-  ASSERT_EQ(loaded.num_edges(), g.num_edges());
-  for (vid_t u = 0; u < 4; ++u) {
-    const auto a = g.neighbors(u);
-    const auto b = loaded.neighbors(u);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-  std::remove(path.c_str());
-}
 
 TEST(Io, EdgeListRejectsNegativeId) {
   const std::string path = ::testing::TempDir() + "/hipa_el_neg.txt";

@@ -7,10 +7,16 @@
 // direct engine run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +24,7 @@
 #include "common/error.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "runtime/affinity.hpp"
 #include "serve/query.hpp"
 #include "serve/service.hpp"
 #include "serve/snapshot.hpp"
@@ -287,6 +294,65 @@ TEST_F(ServiceTest, ThrowsBeforeFirstPublish) {
   SnapshotStore empty(100);
   RankService service(empty);
   EXPECT_THROW(service.execute(Query::point(0)), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Worker pinning
+// ---------------------------------------------------------------------------
+
+/// Cpus_allowed_list ("3", "0-3", ...) of every thread of this
+/// process, by thread id.
+std::map<std::string, std::string> thread_cpus() {
+  const std::string key = "Cpus_allowed_list:";
+  std::map<std::string, std::string> out;
+  for (const auto& t : std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream in(t.path() / "status");
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind(key, 0) != 0) continue;
+      const std::size_t at = line.find_first_not_of(" \t", key.size());
+      out[t.path().filename().string()] = line.substr(at);
+    }
+  }
+  return out;
+}
+
+TEST(ServiceWorkerPin, DistinctCpusClearOfEngineThreadZero) {
+  const runtime::HostTopology& topo = runtime::topology();
+  const std::vector<unsigned>& node0 = topo.node_cpus[0];
+  if (node0.size() < 2) GTEST_SKIP() << "node 0 has one CPU";
+  // More store nodes than host nodes: the workers of store nodes 0, H,
+  // 2H, ... all serve host node 0, leaving one of its CPUs for the
+  // thread 0 of a node-blocked engine team.
+  const unsigned per_host_node =
+      std::min<unsigned>(3, static_cast<unsigned>(node0.size()) - 1);
+  const unsigned store_nodes = topo.num_nodes() * per_host_node;
+  const vid_t n = 40'000;
+  StoreOptions so;
+  so.num_nodes = store_nodes;
+  SnapshotStore store(n, so);
+  store.publish(ramp_ranks(n));
+
+  const std::map<std::string, std::string> before = thread_cpus();
+  RankService service(store);
+  // One lookup in every node's slice: each worker has served a task,
+  // and so pinned itself, before execute returns.
+  std::vector<vid_t> probes;
+  for (const VertexRange& r : store.current()->node_ranges()) {
+    probes.push_back(r.begin);
+  }
+  (void)service.execute(Query::batch(probes));
+
+  std::set<std::string> cpus;
+  for (const auto& [tid, allowed] : thread_cpus()) {
+    if (before.count(tid) != 0) continue;  // not a worker
+    EXPECT_EQ(allowed.find_first_of(",-"), std::string::npos)
+        << "worker " << tid << " is not pinned to one CPU: " << allowed;
+    EXPECT_NE(allowed, std::to_string(node0.front()))
+        << "worker " << tid << " shares node 0's first CPU with the engine";
+    EXPECT_TRUE(cpus.insert(allowed).second)
+        << "worker " << tid << " shares CPU " << allowed;
+  }
+  EXPECT_EQ(cpus.size(), store_nodes);
 }
 
 // ---------------------------------------------------------------------------
