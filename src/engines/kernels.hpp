@@ -274,11 +274,12 @@ struct PageRankKernel {
   static void remap_options(Options&, std::span<const vid_t>) {}
   static void remap_values(std::vector<Value>&, std::span<const vid_t>) {}
 
-  /// Pull-mode algebra for the vertex-centric engines (v-PR, Polymer):
-  /// contrib is the value a vertex advertises over its out-edges, the
-  /// fold is merge() starting from identity(), and apply() turns the
-  /// fold result into the vertex's next value. TV is the engine's
-  /// value representation (rank_t for v-PR, double for Polymer's
+  /// Pull-mode algebra for the vertex-centric engines (the pull core
+  /// behind v-PR and the out-of-core engine, and Polymer): contrib is
+  /// the value a vertex advertises over its out-edges, the fold is
+  /// merge() starting from identity(), and apply() turns the fold
+  /// result into the vertex's next value. TV is the engine's value
+  /// representation (rank_t for the pull core, double for Polymer's
   /// Ligra-fidelity internals); A is the fold accumulator type.
   struct Pull {
     using Acc = double;           ///< Polymer fold/accumulator element
@@ -302,11 +303,12 @@ struct PageRankKernel {
       return bias + static_cast<TV>(damping) * static_cast<TV>(folded);
     }
     /// Fill the engine-side init values and per-vertex bias (the
-    /// constant term of apply); returns the damping scalar.
+    /// constant term of apply) for `n` vertices; returns the damping
+    /// scalar. Only the vertex count is read, so a segmented file
+    /// needs no in-memory Graph.
     template <class TV>
-    static rank_t setup(const Options& o, const graph::Graph& g,
+    static rank_t setup(const Options& o, vid_t n,
                         std::vector<TV>& init, std::vector<TV>& bias) {
-      const vid_t n = g.num_vertices();
       const auto r0 = static_cast<rank_t>(1.0 / static_cast<double>(n));
       const auto base = static_cast<rank_t>((1.0 - o.damping) /
                                             static_cast<double>(n));
@@ -514,9 +516,8 @@ struct PprKernel {
       return bias + static_cast<TV>(damping) * static_cast<TV>(folded);
     }
     template <class TV>
-    static rank_t setup(const Options& o, const graph::Graph& g,
+    static rank_t setup(const Options& o, vid_t n,
                         std::vector<TV>& init, std::vector<TV>& bias) {
-      const vid_t n = g.num_vertices();
       const rank_t omd = 1.0f - o.damping;
       std::vector<rank_t> rst(n, 0.0f);
       if (o.seeds.empty()) {
@@ -660,10 +661,10 @@ struct BfsKernel {
       return f < old ? f : old;
     }
     template <class TV>
-    static rank_t setup(const Options& o, const graph::Graph& g,
+    static rank_t setup(const Options& o, vid_t n,
                         std::vector<TV>& init, std::vector<TV>& bias) {
-      HIPA_CHECK(o.source < g.num_vertices(), "BFS source out of range");
-      init.assign(g.num_vertices(), kUnreached);
+      HIPA_CHECK(o.source < n, "BFS source out of range");
+      init.assign(n, kUnreached);
       init[o.source] = 0;
       bias.clear();
       return 0.0f;
@@ -786,10 +787,10 @@ struct WccKernel {
       return f < old ? f : old;
     }
     template <class TV>
-    static rank_t setup(const Options&, const graph::Graph& g,
+    static rank_t setup(const Options&, vid_t n,
                         std::vector<TV>& init, std::vector<TV>& bias) {
-      init.resize(g.num_vertices());
-      for (vid_t v = 0; v < g.num_vertices(); ++v) init[v] = v;
+      init.resize(n);
+      for (vid_t v = 0; v < n; ++v) init[v] = v;
       bias.clear();
       return 0.0f;
     }
@@ -930,10 +931,10 @@ struct SsspKernel {
       return f < old ? f : old;
     }
     template <class TV>
-    static rank_t setup(const Options& o, const graph::Graph& g,
+    static rank_t setup(const Options& o, vid_t n,
                         std::vector<TV>& init, std::vector<TV>& bias) {
-      HIPA_CHECK(o.source < g.num_vertices(), "SSSP source out of range");
-      init.assign(g.num_vertices(), kUnreached);
+      HIPA_CHECK(o.source < n, "SSSP source out of range");
+      init.assign(n, kUnreached);
       init[o.source] = 0.0f;
       bias.clear();
       return 0.0f;

@@ -1,39 +1,41 @@
-// Out-of-core segmented PageRank (native backend only — the point is
-// real file I/O).
+// Out-of-core engine: any Kernel over a segmented graph file (native
+// backend only — the point is real file I/O).
 //
 // The graph lives in a segmented HCSR v3 file (graph/io.hpp): the
 // pull-direction CSR sliced by destination range. Only O(V) vertex
 // attributes plus two segment-sized staging slots are resident; the
 // edge topology streams through the slots one segment at a time, with
 // an async prefetch thread reading segment N+1 while the team computes
-// on segment N (double buffering). Per-vertex accumulation order is
-// unchanged by segmentation, so ranks are bitwise identical to running
-// the same kernel fully in-core — which `streaming = false` does, as
-// the comparator.
+// on segment N (double buffering). The compute is v-PR's pull core
+// (engines/pull_core.hpp) run over each segment's destination range,
+// so every kernel's values and iteration count are bitwise identical
+// to VprEngine on the same graph, and to running fully in-core here —
+// which `streaming = false` does, as the comparator. A segment that
+// fails to read or validate throws on the caller's thread, prefetch or
+// not.
 //
-// Time the compute team spends blocked on the prefetch thread is
-// charged to the Phase::kIoWait telemetry row (thread 0); the stats()
-// accessor reports fetch/wait seconds and the overlap ratio between
-// them, plus byte accounting for the budget assertion.
+// Time the compute team spends blocked on segment data is charged to
+// the Phase::kIoWait telemetry row and trace span (thread 0); the
+// stats() accessor reports fetch/wait seconds and the overlap ratio
+// between them, plus byte accounting for the budget assertion.
 #pragma once
 
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/logging.hpp"
 #include "common/numeric.hpp"
 #include "engines/backend.hpp"
+#include "engines/kernels.hpp"
+#include "engines/pull_core.hpp"
 #include "engines/run_scope.hpp"
 #include "graph/io.hpp"
-#include "runtime/trace.hpp"
 
 namespace hipa::engine {
 
@@ -79,26 +81,22 @@ class OocoreEngine {
 
   OocoreEngine(const std::string& segmented_path, const OocoreOptions& opt,
                NativeBackend& backend)
-      : opt_(opt), backend_(&backend) {
-    HIPA_CHECK(opt.num_threads >= 1);
-    const double t0 = backend.now_seconds();
-    scsr_ = graph::SegmentedCsr::open(segmented_path);
-    const vid_t n = scsr_.num_vertices();
-    HIPA_CHECK(n > 0, "'" << segmented_path << "' has no vertices");
+      : opt_(opt),
+        backend_(&backend),
+        // Holds the start time until the end of the constructor body.
+        preprocessing_seconds_(backend.now_seconds()),
+        scsr_(graph::SegmentedCsr::open(segmented_path)),
+        core_(backend, scsr_.num_vertices(), opt.num_threads,
+              DataPlacement::kScatter) {
+    HIPA_CHECK(scsr_.num_vertices() > 0,
+               "'" << segmented_path << "' has no vertices");
 
     stats_.segments = scsr_.num_segments();
     stats_.resident_budget_bytes = opt.resident_budget_bytes;
-
-    rank_ = backend.template alloc_pages<rank_t>(n);
-    new_rank_ = backend.template alloc_pages<rank_t>(n);
-    contrib_ = backend.template alloc_pages<rank_t>(n);
-    inv_deg_ = backend.template alloc_pages<rank_t>(n);
-    const auto degrees = scsr_.out_degrees();
-    for (vid_t v = 0; v < n; ++v) {
-      inv_deg_[v] = degrees[v] == 0
-                        ? rank_t{0}
-                        : rank_t{1} / static_cast<rank_t>(degrees[v]);
-    }
+    // PageRank's vertex arrays are allocated here, with the staging
+    // slots, so the first PageRank run allocates nothing.
+    core_.template slot<PageRankKernel>(
+        [degrees = scsr_.out_degrees()](vid_t v) { return degrees[v]; });
 
     if (opt.streaming) {
       const std::size_t slot = scsr_.max_payload_bytes();
@@ -129,15 +127,25 @@ class OocoreEngine {
       }
       stats_.peak_resident_bytes = scsr_.total_payload_bytes();
     }
-
-    vertex_chunks_ = even_chunks<vid_t>(n, opt.num_threads);
-    preprocessing_seconds_ = backend.now_seconds() - t0;
+    preprocessing_seconds_ = backend.now_seconds() - preprocessing_seconds_;
   }
 
-  /// Unified run surface (report + final ranks), matching the in-core
-  /// engines. RunReport::telemetry includes the Phase::kIoWait row.
+  /// The engine's one run entry (see VprEngine::run<K>).
+  /// RunReport::telemetry includes the Phase::kIoWait row.
+  template <class K>
+  [[nodiscard]] KernelResult<K> run(const typename K::Options& ko,
+                                    const RunOptions& ro = {}) {
+    KernelResult<K> result;
+    result.report = ro.instrumented()
+                        ? run_impl<K, true>(ko, ro, &result.values)
+                        : run_impl<K, false>(ko, ro, &result.values);
+    return result;
+  }
+
+  /// PageRank shorthand for run<PageRankKernel> with `pr`'s damping.
   [[nodiscard]] RunResult run(const PageRankOptions& pr) {
-    return pr.instrumented() ? run_impl<true>(pr) : run_impl<false>(pr);
+    auto kr = run<PageRankKernel>({pr.damping}, pr);
+    return {std::move(kr.report), std::move(kr.values)};
   }
 
   /// I/O accounting of the most recent run (fetch bytes/seconds reset
@@ -156,6 +164,9 @@ class OocoreEngine {
   /// sequence number lands, runs the gather phase over it, then
   /// releases the slot. Two slots in flight keep exactly one read
   /// ahead of compute, which is all sequential consumption can use.
+  /// A failed read parks its exception in `error` and ends the
+  /// producer; the consumer rethrows it when it next waits. Stopping
+  /// (or destroying) the pipeline joins the producer.
   struct Pipeline {
     std::mutex mu;
     std::condition_variable filled_cv;
@@ -163,13 +174,25 @@ class OocoreEngine {
     std::int64_t slot_seq[2] = {-1, -1};  ///< sequence resident per slot
     std::int64_t next_consume = 0;
     bool done = false;
+    std::exception_ptr error;
     double fetch_seconds = 0.0;
     std::uint64_t fetches = 0;
+    std::thread producer;
+
+    void stop() {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
+      }
+      freed_cv.notify_all();
+      if (producer.joinable()) producer.join();
+    }
+    ~Pipeline() { stop(); }
   };
 
-  template <bool kTel>
-  RunResult run_impl(const PageRankOptions& pr) {
-    const vid_t n = scsr_.num_vertices();
+  template <class K, bool kTel>
+  RunReport run_impl(const typename K::Options& ko, const RunOptions& ro,
+                     std::vector<typename K::Value>* values_out) {
     const unsigned num_segments = stats_.segments;
     const unsigned threads = opt_.num_threads;
     stats_.io_wait_seconds = 0.0;
@@ -179,168 +202,115 @@ class OocoreEngine {
       bytes_fetched_base_ = scsr_.bytes_fetched();
     }
 
-    if constexpr (kTel) {
-      timeline_.reset(threads);
-      timeline_.reserve_iterations(pr.iterations);
-      if (!pr.trace_path.empty()) {
-        timeline_.enable_spans(
-            (2 + std::size_t{num_segments}) * pr.iterations + 4);
-      }
+    // Start the producer once for the whole run; it stays exactly one
+    // segment ahead across iteration boundaries too (the last segment
+    // of iteration i overlaps the first read of i+1). If the run
+    // throws, the core ends the team and ~Pipeline joins the producer
+    // before the error reaches the caller.
+    Pipeline pipe;
+    const std::int64_t total =
+        std::int64_t{K::max_iterations(ko, ro)} * num_segments;
+    const bool async = opt_.streaming && opt_.prefetch && total > 0;
+    if (async) {
+      pipe.producer = std::thread([this, &pipe, total, num_segments] {
+        produce(pipe, total, num_segments);
+      });
     }
 
     ThreadTeamSpec spec;
     spec.num_threads = threads;
     spec.persistent = true;
     spec.binding = ThreadTeamSpec::Binding::kSpread;
-
-    const double t0 = backend_->now_seconds();
-    [[maybe_unused]] std::optional<runtime::HotPathGuard> hot_guard;
-    hot_guard.emplace();
-    backend_->start_team(spec);
-
-    const auto r0 = static_cast<rank_t>(1.0 / static_cast<double>(n));
-    timed_phase<kTel>(
-        *backend_, timeline_, runtime::Phase::kInit, [&](unsigned t, Mem&) {
-          runtime::MaybeTimer<kTel> sw;
-          sw.reset();
-          for (vid_t v = vertex_chunks_[t]; v < vertex_chunks_[t + 1]; ++v) {
-            rank_[v] = r0;
-          }
-          if constexpr (kTel) {
-            runtime::PhaseSample& row =
-                timeline_.thread(t)[runtime::Phase::kInit];
-            ++row.invocations;
-            row.wall_seconds += sw.seconds();
-          }
-        });
-
-    // Spin up the producer once for the whole run; it stays exactly
-    // one segment ahead across iteration boundaries too (the last
-    // segment of iteration i overlaps the first read of i+1).
-    Pipeline pipe;
-    std::thread producer;
-    const bool async = opt_.streaming && opt_.prefetch && pr.iterations > 0;
-    if (async) {
-      const std::int64_t total =
-          std::int64_t{pr.iterations} * num_segments;
-      producer = std::thread([this, &pipe, total, num_segments] {
-        produce(pipe, total, num_segments);
-      });
-    }
-
-    const auto base =
-        static_cast<rank_t>((1.0 - pr.damping) / static_cast<double>(n));
-    std::vector<PaddedDouble> partials(threads);
-    const bool track_delta = pr.tolerance > 0.0;
-    double last_delta = 0.0;
-    unsigned executed = 0;
+    PullSlot<K>& sl = core_.template slot<K>(
+        [degrees = scsr_.out_degrees()](vid_t v) { return degrees[v]; });
     std::int64_t seq = 0;
-    for (unsigned it = 0; it < pr.iterations; ++it) {
-      [[maybe_unused]] double it0 = 0.0;
-      if constexpr (kTel) it0 = backend_->now_seconds();
-      timed_phase<kTel>(*backend_, timeline_, runtime::Phase::kScatter,
-                        [&](unsigned t, Mem&) { contrib_pass<kTel>(t); });
-      if (track_delta) {
-        for (PaddedDouble& p : partials) p.value = 0.0;
-      }
-      for (unsigned s = 0; s < num_segments; ++s, ++seq) {
-        const void* payload = acquire_segment<kTel>(pipe, async, s, seq);
-        const graph::SegmentedCsr::SegmentView view = scsr_.view(s, payload);
-        timed_phase<kTel>(*backend_, timeline_, runtime::Phase::kGather,
-                          [&](unsigned t, Mem&) {
-                            gather_pass<kTel>(
-                                t, view, base, pr.damping,
-                                track_delta ? &partials[t].value : nullptr);
-                          });
-        if (async) release_segment(pipe, seq);
-      }
-      std::swap(rank_, new_rank_);
-      ++executed;
-      if constexpr (kTel) {
-        timeline_.record_iteration(backend_->now_seconds() - it0);
-      }
-      if (track_delta) {
-        last_delta = reduce_deltas(partials);
-        if (last_delta <= pr.tolerance) break;
-      }
-    }
-
+    // Thread 0 records scatter, then a gather and an io_wait span per
+    // segment, every iteration.
+    RunReport report = core_.template run<K, kTel>(
+        sl, ko, ro, spec, {1 + 2 * std::size_t{num_segments}, 4}, "oocore",
+        [&](RunScope<NativeBackend, kTel>& scope) {
+          for (unsigned s = 0; s < num_segments; ++s, ++seq) {
+            const graph::SegmentedCsr::SegmentView view =
+                scsr_.view(s, acquire_segment<kTel>(pipe, async, s, seq));
+            const std::uint64_t nv = view.range.size();
+            scope.phase(runtime::Phase::kGather, [&](unsigned t, Mem& mem) {
+              // Thread t's even share of the segment's destinations.
+              const auto lo = static_cast<vid_t>(t * nv / threads);
+              const auto hi = static_cast<vid_t>((t + 1) * nv / threads);
+              core_.template pull_pass<K, kTel>(
+                  sl, t, mem, view.range.begin + lo, view.range.begin + hi,
+                  view.offsets.data() + lo, view.sources.data());
+            });
+            if (async) release_segment(pipe, seq);
+          }
+        },
+        values_out);
+    pipe.stop();
     if (async) {
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.done = true;
-      }
-      pipe.freed_cv.notify_all();
-      producer.join();
       stats_.fetch_seconds = pipe.fetch_seconds;
       stats_.segment_fetches += pipe.fetches;
     }
-    backend_->end_team();
-
-    RunResult result;
-    result.report.seconds = backend_->now_seconds() - t0;
-    result.report.preprocessing_seconds = preprocessing_seconds_;
-    result.report.iterations = executed;
-    result.report.last_delta = last_delta;
-    if constexpr (kTel) {
-      result.report.telemetry = runtime::aggregate(timeline_);
-      if (!pr.trace_path.empty() &&
-          !trace::ChromeTraceWriter::write(pr.trace_path, timeline_,
-                                           "oocore")) {
-        HIPA_WARN("trace write failed: " << pr.trace_path);
-      }
-    }
-    result.report.arena = backend_->arena_stats();
-    if (opt_.streaming) {
-      stats_.bytes_fetched = scsr_.bytes_fetched() - bytes_fetched_base_;
-    } else {
-      stats_.bytes_fetched = 0;  // everything was resident before t0
-    }
-    result.ranks.assign(rank_.begin(), rank_.end());
-    return result;
+    // In-core, everything was resident before the run.
+    stats_.bytes_fetched =
+        opt_.streaming ? scsr_.bytes_fetched() - bytes_fetched_base_ : 0;
+    report.preprocessing_seconds = preprocessing_seconds_;
+    return report;
   }
 
   /// Producer body: read the flattened segment sequence one slot ahead
   /// of the consumer. Only file I/O happens here — no arena traffic,
-  /// no rank access — so it needs no synchronization with the team
-  /// beyond the slot protocol.
+  /// no vertex-value access — so it needs no synchronization with the
+  /// team beyond the slot protocol.
   void produce(Pipeline& pipe, std::int64_t total, unsigned num_segments) {
-    for (std::int64_t seq = 0; seq < total; ++seq) {
-      {
-        std::unique_lock<std::mutex> lock(pipe.mu);
-        pipe.freed_cv.wait(lock, [&] {
-          return pipe.done || seq - pipe.next_consume < 2;
-        });
-        if (pipe.done) return;
+    try {
+      for (std::int64_t seq = 0; seq < total; ++seq) {
+        {
+          std::unique_lock<std::mutex> lock(pipe.mu);
+          pipe.freed_cv.wait(lock, [&] {
+            return pipe.done || seq - pipe.next_consume < 2;
+          });
+          if (pipe.done) return;
+        }
+        const double f0 = backend_->now_seconds();
+        scsr_.read_segment(static_cast<unsigned>(seq % num_segments),
+                           staging_[seq % 2].data());
+        const double dt = backend_->now_seconds() - f0;
+        {
+          std::lock_guard<std::mutex> lock(pipe.mu);
+          pipe.fetch_seconds += dt;
+          ++pipe.fetches;
+          pipe.slot_seq[seq % 2] = seq;
+        }
+        pipe.filled_cv.notify_one();
       }
-      const double f0 = backend_->now_seconds();
-      scsr_.read_segment(static_cast<unsigned>(seq % num_segments),
-                         staging_[seq % 2].data());
-      const double dt = backend_->now_seconds() - f0;
+    } catch (...) {
       {
         std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.fetch_seconds += dt;
-        ++pipe.fetches;
-        pipe.slot_seq[seq % 2] = seq;
+        pipe.error = std::current_exception();
       }
       pipe.filled_cv.notify_one();
     }
   }
 
   /// Block until segment `s` (sequence `seq`) is resident and return
-  /// its payload. The blocked interval is the run's I/O wait — charged
-  /// to thread 0's Phase::kIoWait telemetry row.
+  /// its payload; rethrows the producer's error if its read failed.
+  /// The blocked interval is the run's I/O wait — charged to thread
+  /// 0's Phase::kIoWait telemetry row and trace span.
   template <bool kTel>
   const void* acquire_segment(Pipeline& pipe, bool async, unsigned s,
                               std::int64_t seq) {
     if (!opt_.streaming) {
       return incore_.data() + incore_offsets_[s];
     }
+    runtime::MaybeSpan<kTel> span(core_.timeline());
     const double w0 = backend_->now_seconds();
     const void* payload = nullptr;
     if (async) {
       std::unique_lock<std::mutex> lock(pipe.mu);
-      pipe.filled_cv.wait(lock, [&] { return pipe.slot_seq[seq % 2] == seq; });
+      pipe.filled_cv.wait(lock, [&] {
+        return pipe.slot_seq[seq % 2] == seq || pipe.error != nullptr;
+      });
+      if (pipe.slot_seq[seq % 2] != seq) std::rethrow_exception(pipe.error);
       payload = staging_[seq % 2].data();
     } else {
       scsr_.read_segment(s, staging_[0].data());
@@ -351,12 +321,13 @@ class OocoreEngine {
     stats_.io_wait_seconds += wait;
     if (!async) stats_.fetch_seconds += wait;
     if constexpr (kTel) {
-      runtime::PhaseSample& row =
-          timeline_.thread(0)[runtime::Phase::kIoWait];
+      runtime::PhaseTimeline& timeline = core_.timeline();
+      runtime::PhaseSample& row = timeline.thread(0)[runtime::Phase::kIoWait];
       ++row.invocations;
       row.wall_seconds += wait;
       row.bytes_consumed += scsr_.segment(s).payload_bytes;
-      timeline_.record_region(runtime::Phase::kIoWait, wait);
+      timeline.record_region(runtime::Phase::kIoWait, wait);
+      span.finish(0, runtime::Phase::kIoWait, runtime::SpanKind::kKernel);
     }
     return payload;
   }
@@ -370,90 +341,16 @@ class OocoreEngine {
     pipe.freed_cv.notify_one();
   }
 
-  template <bool kTel>
-  void contrib_pass(unsigned t) {
-    runtime::MaybeTimer<kTel> sw;
-    sw.reset();
-    const vid_t b = vertex_chunks_[t];
-    const vid_t e = vertex_chunks_[t + 1];
-    const rank_t* __restrict rank = rank_.data();
-    const rank_t* __restrict inv = inv_deg_.data();
-    rank_t* __restrict contrib = contrib_.data();
-    for (vid_t v = b; v < e; ++v) contrib[v] = rank[v] * inv[v];
-    if constexpr (kTel) {
-      runtime::PhaseSample& row =
-          timeline_.thread(t)[runtime::Phase::kScatter];
-      ++row.invocations;
-      row.wall_seconds += sw.seconds();
-      row.messages_produced += e - b;
-      row.bytes_produced += std::uint64_t{e - b} * sizeof(rank_t);
-    }
-  }
-
-  /// Pull pass over one segment's destination range. The split is by
-  /// destination vertex, and each vertex's sum runs over its sources
-  /// in payload order — per-vertex accumulation is identical no matter
-  /// how [v_begin, v_end) is cut across threads or segments, which is
-  /// what makes streaming bitwise-equal to in-core.
-  template <bool kTel>
-  void gather_pass(unsigned t, const graph::SegmentedCsr::SegmentView& view,
-                   rank_t base, rank_t damping, double* delta_out) {
-    runtime::MaybeTimer<kTel> sw;
-    sw.reset();
-    const vid_t nv = view.range.size();
-    const vid_t b = view.range.begin + chunk_of(nv, t);
-    const vid_t e = view.range.begin + chunk_of(nv, t + 1);
-    const eid_t* __restrict offsets = view.offsets.data();
-    const vid_t* __restrict sources = view.sources.data();
-    const rank_t* __restrict contrib = contrib_.data();
-    rank_t* __restrict out = new_rank_.data();
-    [[maybe_unused]] std::uint64_t tel_edges = 0;
-    double delta = 0.0;
-    for (vid_t v = b; v < e; ++v) {
-      const eid_t lo = offsets[v - view.range.begin];
-      const eid_t hi = offsets[v - view.range.begin + 1];
-      rank_t sum = 0.0f;
-      for (eid_t i = lo; i < hi; ++i) sum += contrib[sources[i]];
-      const rank_t r = base + damping * sum;
-      out[v] = r;
-      if (delta_out != nullptr) {
-        delta += std::abs(static_cast<double>(r) -
-                          static_cast<double>(rank_[v]));
-      }
-      if constexpr (kTel) tel_edges += hi - lo;
-    }
-    if (delta_out != nullptr) *delta_out += delta;
-    if constexpr (kTel) {
-      runtime::PhaseSample& row =
-          timeline_.thread(t)[runtime::Phase::kGather];
-      ++row.invocations;
-      row.wall_seconds += sw.seconds();
-      row.messages_consumed += tel_edges;
-      row.bytes_consumed += tel_edges * sizeof(rank_t);
-    }
-  }
-
-  /// Even split boundary: thread t's chunk of nv vertices starts here.
-  [[nodiscard]] vid_t chunk_of(vid_t nv, unsigned t) const {
-    const auto tt = static_cast<std::uint64_t>(t);
-    return static_cast<vid_t>(tt * nv / opt_.num_threads);
-  }
-
   OocoreOptions opt_;
   NativeBackend* backend_;
+  double preprocessing_seconds_ = 0.0;
   graph::SegmentedCsr scsr_;
-  AlignedBuffer<rank_t> rank_;
-  AlignedBuffer<rank_t> new_rank_;
-  AlignedBuffer<rank_t> contrib_;
-  AlignedBuffer<rank_t> inv_deg_;
+  PullCore<NativeBackend> core_;
   AlignedBuffer<unsigned char> staging_[2];  ///< streaming slots
   AlignedBuffer<unsigned char> incore_;      ///< !streaming: all payloads
   std::vector<std::size_t> incore_offsets_;  ///< per-segment offset in ^
-  std::vector<vid_t> vertex_chunks_;
-  runtime::PhaseTimeline timeline_;
   OocoreStats stats_;
   std::uint64_t bytes_fetched_base_ = 0;
-  double preprocessing_seconds_ = 0.0;
 };
 
 }  // namespace hipa::engine

@@ -180,7 +180,7 @@ class PolymerEngine {
                             std::vector<typename K::Value>* values_out) {
     const vid_t n = graph_->num_vertices();
     PolySlot<K>& sl = slot<K>();
-    sl.damping = K::Pull::setup(ko, *graph_, sl.init, sl.bias);
+    sl.damping = K::Pull::setup(ko, n, sl.init, sl.bias);
     const unsigned max_iters = K::max_iterations(ko, ro);
     ThreadTeamSpec spec;
     spec.num_threads = opt_.num_threads;

@@ -69,15 +69,21 @@ class CsrGraph {
 /// their reciprocal is an exact +0). Computed once at preprocessing
 /// time; `F` picks the engine's arithmetic width (float engines use
 /// rank_t, the double-precision Polymer baseline uses double).
-template <class F>
-[[nodiscard]] AlignedBuffer<F> inverse_degrees(const CsrGraph& g) {
-  const vid_t n = g.num_vertices();
-  AlignedBuffer<F> inv(n);
-  const auto offsets = g.offsets();
-  for (vid_t v = 0; v < n; ++v) {
-    const eid_t d = offsets[v + 1] - offsets[v];
+/// `degree(v)` reads v's degree from wherever it is kept (a CSR's
+/// offsets, a segmented file's degree table); `inv` is caller storage.
+template <class F, class Degree>
+void fill_inverse_degrees(std::span<F> inv, Degree&& degree) {
+  for (vid_t v = 0; v < inv.size(); ++v) {
+    const eid_t d = degree(v);
     inv[v] = d == 0 ? F{0} : F{1} / static_cast<F>(d);
   }
+}
+
+/// The table for `g` in a buffer of its own.
+template <class F>
+[[nodiscard]] AlignedBuffer<F> inverse_degrees(const CsrGraph& g) {
+  AlignedBuffer<F> inv(g.num_vertices());
+  fill_inverse_degrees(inv.span(), [&g](vid_t v) { return g.degree(v); });
   return inv;
 }
 

@@ -21,9 +21,11 @@
 
 #include "algos/pagerank.hpp"
 #include "common/minijson.hpp"
+#include "engines/oocore_engine.hpp"
 #include "engines/pcpm_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "runtime/affinity.hpp"
 #include "runtime/hwprof.hpp"
 #include "runtime/numa_audit.hpp"
@@ -79,6 +81,37 @@ algo::RunResult run_hipa(const graph::Graph& g, HwProf hw,
   params.pr.trace_path = trace;
   return algo::run_method_native(Method::kHipa, g, params);
 }
+
+/// The same run on the out-of-core engine, streaming `g` from a
+/// segmented file with several segments.
+algo::RunResult run_oocore(const graph::Graph& g, HwProf hw, Telemetry tel,
+                           const std::string& trace) {
+  const std::string path = testing::TempDir() + "hipa_hwprof.hcsr3";
+  graph::save_segmented_csr(path, g, 16 * 1024);
+  engine::NativeBackend backend;
+  engine::OocoreOptions opt;
+  opt.num_threads = 2;
+  engine::OocoreEngine eng(path, opt, backend);
+  EXPECT_GT(eng.graph().num_segments(), 1u);
+  engine::PageRankOptions pr(3);
+  pr.telemetry = tel;
+  pr.hw_counters = hw;
+  pr.trace_path = trace;
+  algo::RunResult res = eng.run(pr);
+  std::remove(path.c_str());
+  return res;
+}
+
+/// Every engine the hw-counter and trace tests cover, with the process
+/// name its trace carries and whether it waits on segment I/O.
+struct EngineCase {
+  const char* name;
+  algo::RunResult (*run)(const graph::Graph&, HwProf, Telemetry,
+                         const std::string&);
+  bool io_wait;
+};
+constexpr EngineCase kEngines[] = {{"HiPa", &run_hipa, false},
+                                   {"oocore", &run_oocore, true}};
 
 // ---- HwCounters arithmetic -------------------------------------------------
 
@@ -172,28 +205,31 @@ TEST(HwProfDegrade, FailedOpenDoesNotRetryEveryCall) {
 
 TEST(HwProfDegrade, EngineRunCompletesWithIdenticalRanksUnderDeniedPmu) {
   const graph::Graph g = test_graph(1201);
-  // Reference: hw collection off entirely.
-  const auto off = run_hipa(g, HwProf::kOff);
-  {
-    OverrideGuard guard(&deny_eacces);
-    const auto denied = run_hipa(g, HwProf::kOn);
-    EXPECT_FALSE(denied.report.telemetry.hw_available);
-    EXPECT_EQ(denied.report.telemetry.hw_threads, 0u);
-    EXPECT_EQ(denied.report.telemetry.hw_errno, EACCES);
-    EXPECT_TRUE(bitwise_equal(off.ranks, denied.ranks));
-    // Degraded counters stay zero in every phase.
-    for (unsigned pi = 0; pi < runtime::kNumPhases; ++pi) {
-      const auto& agg =
-          denied.report.telemetry[static_cast<runtime::Phase>(pi)];
-      EXPECT_EQ(agg.hw.cycles, 0u);
-      EXPECT_EQ(agg.hw.instructions, 0u);
+  for (const EngineCase& engine : kEngines) {
+    SCOPED_TRACE(engine.name);
+    // Reference: hw collection off entirely.
+    const auto off = engine.run(g, HwProf::kOff, Telemetry::kOn, {});
+    {
+      OverrideGuard guard(&deny_eacces);
+      const auto denied = engine.run(g, HwProf::kOn, Telemetry::kOn, {});
+      EXPECT_FALSE(denied.report.telemetry.hw_available);
+      EXPECT_EQ(denied.report.telemetry.hw_threads, 0u);
+      EXPECT_EQ(denied.report.telemetry.hw_errno, EACCES);
+      EXPECT_TRUE(bitwise_equal(off.ranks, denied.ranks));
+      // Degraded counters stay zero in every phase.
+      for (unsigned pi = 0; pi < runtime::kNumPhases; ++pi) {
+        const auto& agg =
+            denied.report.telemetry[static_cast<runtime::Phase>(pi)];
+        EXPECT_EQ(agg.hw.cycles, 0u);
+        EXPECT_EQ(agg.hw.instructions, 0u);
+      }
     }
-  }
-  {
-    OverrideGuard guard(&deny_enosys);
-    const auto denied = run_hipa(g, HwProf::kOn);
-    EXPECT_FALSE(denied.report.telemetry.hw_available);
-    EXPECT_TRUE(bitwise_equal(off.ranks, denied.ranks));
+    {
+      OverrideGuard guard(&deny_enosys);
+      const auto denied = engine.run(g, HwProf::kOn, Telemetry::kOn, {});
+      EXPECT_FALSE(denied.report.telemetry.hw_available);
+      EXPECT_TRUE(bitwise_equal(off.ranks, denied.ranks));
+    }
   }
 }
 
@@ -312,42 +348,47 @@ TEST(ChromeTrace, WriterEmitsStructurallyValidTraceEvents) {
 TEST(ChromeTrace, EngineTracePathProducesPerThreadPhaseSpans) {
   const graph::Graph g = test_graph(1205);
   const std::string path = testing::TempDir() + "hipa_engine_trace.json";
-  const auto res = run_hipa(g, HwProf::kOff, Telemetry::kOff, path);
-  ASSERT_FALSE(res.ranks.empty());
+  for (const EngineCase& engine : kEngines) {
+    SCOPED_TRACE(engine.name);
+    const auto res = engine.run(g, HwProf::kOff, Telemetry::kOff, path);
+    ASSERT_FALSE(res.ranks.empty());
 
-  const json::ValuePtr root = parse_file(path);
-  ASSERT_NE(root, nullptr);
-  const json::Value* events = root->find("traceEvents");
-  ASSERT_NE(events, nullptr);
+    const json::ValuePtr root = parse_file(path);
+    ASSERT_NE(root, nullptr);
+    const json::Value* events = root->find("traceEvents");
+    ASSERT_NE(events, nullptr);
 
-  std::set<double> span_tids;
-  std::set<std::string> span_names;
-  bool process_named = false;
-  for (const auto& e : events->array) {
-    const json::Value* ph = e->find("ph");
-    const json::Value* name = e->find("name");
-    if (ph == nullptr || name == nullptr) continue;
-    if (ph->str == "M" && name->str == "process_name") {
-      const json::Value* args = e->find("args");
-      ASSERT_NE(args, nullptr);
-      const json::Value* pname = args->find("name");
-      ASSERT_NE(pname, nullptr);
-      EXPECT_EQ(pname->str, "HiPa");
-      process_named = true;
+    std::set<double> span_tids;
+    std::set<std::string> span_names;
+    bool process_named = false;
+    for (const auto& e : events->array) {
+      const json::Value* ph = e->find("ph");
+      const json::Value* name = e->find("name");
+      if (ph == nullptr || name == nullptr) continue;
+      if (ph->str == "M" && name->str == "process_name") {
+        const json::Value* args = e->find("args");
+        ASSERT_NE(args, nullptr);
+        const json::Value* pname = args->find("name");
+        ASSERT_NE(pname, nullptr);
+        EXPECT_EQ(pname->str, engine.name);
+        process_named = true;
+      }
+      if (ph->str == "X") {
+        const json::Value* tid = e->find("tid");
+        ASSERT_NE(tid, nullptr);
+        span_tids.insert(tid->number);
+        span_names.insert(name->str);
+      }
     }
-    if (ph->str == "X") {
-      const json::Value* tid = e->find("tid");
-      ASSERT_NE(tid, nullptr);
-      span_tids.insert(tid->number);
-      span_names.insert(name->str);
-    }
+    EXPECT_TRUE(process_named);
+    // Both worker threads produced kernel spans, covering scatter and
+    // gather at minimum (init runs once; barriers ride along). The
+    // out-of-core engine adds thread 0's waits for segment data.
+    EXPECT_EQ(span_tids.size(), 2u);
+    EXPECT_EQ(span_names.count("scatter"), 1u);
+    EXPECT_EQ(span_names.count("gather"), 1u);
+    EXPECT_EQ(span_names.count("io_wait"), engine.io_wait ? 1u : 0u);
   }
-  EXPECT_TRUE(process_named);
-  // Both worker threads produced kernel spans, covering scatter and
-  // gather at minimum (init runs once; barriers ride along).
-  EXPECT_EQ(span_tids.size(), 2u);
-  EXPECT_EQ(span_names.count("scatter"), 1u);
-  EXPECT_EQ(span_names.count("gather"), 1u);
 }
 
 // ---- numa_maps parsing -----------------------------------------------------

@@ -1,6 +1,8 @@
 // Out-of-core subsystem: segmented HCSR v3 container, streaming edge
 // list parsing, the hipa-convert sharder core, and the OocoreEngine's
-// streaming-vs-in-core bitwise-identity + budget contracts.
+// contracts: streaming-vs-in-core and streamed-vs-v-PR bitwise
+// identity for every kernel, the resident budget, and fetch errors
+// surfacing on the caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "common/fnv1a.hpp"
 #include "engines/backend.hpp"
 #include "engines/oocore_engine.hpp"
+#include "engines/vpr_engine.hpp"
 #include "graph/builder.hpp"
 #include "graph/convert.hpp"
 #include "graph/generators.hpp"
@@ -557,5 +560,102 @@ TEST(OocoreEngineTest, ToleranceStopsIdenticallyAcrossModes) {
   EXPECT_EQ(incore.report.last_delta, async.report.last_delta);
   EXPECT_EQ(incore.ranks, sync.ranks);
   EXPECT_EQ(incore.ranks, async.ranks);
+  std::remove(path.c_str());
+}
+
+TEST(OocoreEngineTest, CorruptSegmentMidRunThrowsOnCaller) {
+  RmatParams rp;
+  rp.scale = 10;
+  rp.edge_factor = 8;
+  const Graph g = build_graph(vid_t{1} << rp.scale, generate_rmat(rp));
+  const std::string good = tmp_path("oocore_midrun_good.hcsr3");
+  const std::string bad = tmp_path("oocore_midrun_bad.hcsr3");
+  save_segmented_csr(good, g, kSmallSegment);
+  {
+    // Flip one byte in the last segment: the first iteration streams
+    // every earlier segment before the fetch fails.
+    const SegmentedCsr sc = SegmentedCsr::open(good);
+    ASSERT_GT(sc.num_segments(), 2u);
+    const SegmentInfo& info = sc.segment(sc.num_segments() - 1);
+    std::vector<char> bytes = slurp(good);
+    bytes[info.file_offset + info.payload_bytes / 2] ^= 0x01;
+    write_file(bad, bytes.data(), bytes.size());
+  }
+
+  NativeBackend backend;
+  for (const bool prefetch : {true, false}) {
+    SCOPED_TRACE(prefetch ? "prefetch" : "synchronous");
+    OocoreOptions opt;
+    opt.num_threads = 3;
+    opt.prefetch = prefetch;
+    OocoreEngine eng(bad, opt, backend);
+    const std::string msg =
+        error_message([&] { (void)eng.run(PageRankOptions(5)); });
+    EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
+  }
+  // The failed runs ended their team: a fresh engine on the intact
+  // file runs on the same backend.
+  OocoreOptions opt;
+  opt.num_threads = 3;
+  OocoreEngine eng(good, opt, backend);
+  EXPECT_EQ(eng.run(PageRankOptions(5)).ranks,
+            run_oocore(good, 3, /*streaming=*/false, /*prefetch=*/false, 5));
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(OocoreEngineTest, EveryKernelStreamsLikeVpr) {
+  using namespace hipa::engine;
+  struct Mode {
+    bool streaming;
+    bool prefetch;
+    unsigned threads;
+  };
+  const Mode modes[] = {{true, true, 1},  {true, true, 3}, {true, false, 1},
+                        {true, false, 3}, {false, false, 3}};
+  const std::string path = tmp_path("oocore_kernels.hcsr3");
+
+  // Streamed values and iteration counts must equal v-PR's exactly.
+  auto check = [&]<class K>(const Graph& g, const typename K::Options& ko,
+                            const char* kernel) {
+    SCOPED_TRACE(kernel);
+    save_segmented_csr(path, g, kSmallSegment);
+    ASSERT_GT(SegmentedCsr::open(path).num_segments(), 2u);
+    NativeBackend vpr_backend;
+    VprEngine<NativeBackend> vpr(g, VprOptions{3}, vpr_backend);
+    const KernelResult<K> want = vpr.template run<K>(ko);
+    for (const Mode& m : modes) {
+      SCOPED_TRACE(testing::Message()
+                   << "streaming=" << m.streaming << " prefetch="
+                   << m.prefetch << " threads=" << m.threads);
+      NativeBackend backend;
+      OocoreOptions opt;
+      opt.num_threads = m.threads;
+      opt.streaming = m.streaming;
+      opt.prefetch = m.prefetch;
+      OocoreEngine eng(path, opt, backend);
+      const KernelResult<K> got = eng.template run<K>(ko);
+      EXPECT_EQ(got.values, want.values);
+      EXPECT_EQ(got.report.iterations, want.report.iterations);
+    }
+  };
+
+  RmatParams rp;
+  rp.scale = 9;
+  rp.edge_factor = 8;
+  const Graph rmat = build_graph(vid_t{1} << rp.scale, generate_rmat(rp));
+  const Graph zipf = zipf_graph();
+  for (const Graph* g : {&rmat, &zipf}) {
+    SCOPED_TRACE(g == &rmat ? "rmat" : "zipf");
+    vid_t hub = 0;
+    for (vid_t v = 1; v < g->num_vertices(); ++v) {
+      if (g->out.degree(v) > g->out.degree(hub)) hub = v;
+    }
+    check.operator()<PageRankKernel>(*g, {0.85f}, "pagerank");
+    check.operator()<PprKernel>(*g, {0.85f, {hub, 1, 7}}, "ppr");
+    check.operator()<BfsKernel>(*g, {hub}, "bfs");
+    check.operator()<WccKernel>(symmetrized(*g), {}, "wcc");
+    check.operator()<SsspKernel>(*g, {hub}, "sssp");
+  }
   std::remove(path.c_str());
 }
